@@ -23,7 +23,6 @@ from .charges import (
     KClass,
     PhasePoint,
     Slope,
-    StabilityDatum,
     add_half_turns,
     compare_phase,
     in_h_prime,
@@ -93,7 +92,6 @@ __all__ = [
     "SchemaError",
     "SheafObject",
     "Slope",
-    "StabilityDatum",
     "TorsionSheaf",
     "add_half_turns",
     "check_compatibility",

@@ -16,7 +16,7 @@ carry phases in (0, 1], their negatives carry (1, 2].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -25,14 +25,12 @@ __all__ = [
     "ChargeVec",
     "PhasePoint",
     "Slope",
-    "StabilityDatum",
     "charge",
     "in_kernel",
     "phase_of_charge",
     "slope_phase_convert",
     "slope_to_phase",
     "compare_phase",
-    "act_relabel",
     "add_half_turns",
     "in_h_prime",
     "primitive",
@@ -96,22 +94,6 @@ class KClass:
 
     def to_json(self) -> dict:
         return {"n": self.n, "chi": self.chi, "ranks": list(self.ranks)}
-
-    @classmethod
-    def from_json(cls, obj: object) -> "KClass":
-        from .schemas import SchemaError  # local import to avoid a cycle
-
-        if not isinstance(obj, dict):
-            raise SchemaError("KClass must be an object")
-        try:
-            n, chi, ranks = obj["n"], obj["chi"], obj["ranks"]
-        except KeyError as exc:
-            raise SchemaError(f"KClass missing field {exc.args[0]!r}") from None
-        if not isinstance(n, int) or not isinstance(chi, int):
-            raise SchemaError("KClass n and chi must be integers")
-        if not isinstance(ranks, list) or not all(isinstance(r, int) for r in ranks):
-            raise SchemaError("KClass ranks must be a list of integers")
-        return cls(n, chi, tuple(ranks))
 
 
 def charge(k: KClass) -> ChargeVec:
@@ -189,26 +171,6 @@ class PhasePoint:
     def to_json(self) -> dict:
         return {"two_shift": self.two_shift, "dir": list(self.dir)}
 
-    @classmethod
-    def from_json(cls, obj: object) -> "PhasePoint":
-        from .schemas import SchemaError
-
-        if not isinstance(obj, dict):
-            raise SchemaError("PhasePoint must be an object")
-        try:
-            shift, d = obj["two_shift"], obj["dir"]
-        except KeyError as exc:
-            raise SchemaError(f"PhasePoint missing field {exc.args[0]!r}") from None
-        if not isinstance(shift, int):
-            raise SchemaError("two_shift must be an integer")
-        if (
-            not isinstance(d, list)
-            or len(d) != 2
-            or not all(isinstance(t, int) for t in d)
-        ):
-            raise SchemaError("dir must be a pair of integers")
-        return cls(shift, (d[0], d[1]))
-
 
 def phase_of_charge(c: ChargeVec) -> PhasePoint:
     """Phase of a nonzero charge, in the principal window (0, 2]."""
@@ -239,13 +201,11 @@ def add_half_turns(p: PhasePoint, turns: int) -> PhasePoint:
     shift, d = p.two_shift, p.dir
     shift += turns // 2
     if turns % 2:
-        if in_h_prime(d):
-            # phi0 in (0,1]; adding 1 lands in (1,2]: same window, flip dir.
-            d = (-d[0], -d[1])
-        else:
-            # phi0 in (1,2]; adding 1 exits the window upward.
-            d = (-d[0], -d[1])
+        # phi0 in (0,1] lands in (1,2], the same window; phi0 in (1,2]
+        # exits the window upward.
+        if not in_h_prime(d):
             shift += 1
+        d = (-d[0], -d[1])
     return PhasePoint(shift, d)
 
 
@@ -329,59 +289,3 @@ def slope_to_phase(s: Slope) -> PhasePoint:
     if s.is_infinite:
         return PhasePoint(0, (-1, 0))
     return PhasePoint(0, primitive((-s.num, s.den)))
-
-
-_RAT2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
-
-
-def _as_rational_matrix(T: object) -> _RAT2:
-    rows = tuple(tuple(Fraction(x) for x in row) for row in T)  # type: ignore[union-attr]
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        raise ValueError("relabeling matrix must be 2x2")
-    return rows  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
-class StabilityDatum:
-    """The classical datum on E_n, optionally relabeled by a rational matrix.
-
-    Only the linear part of a relabeling is carried; det must be positive
-    (orientation preserving), and entries are exact rationals.
-    """
-
-    n: int
-    relabel: _RAT2 = field(
-        default=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    )
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        rows = _as_rational_matrix(self.relabel)
-        object.__setattr__(self, "relabel", rows)
-        if _det2(rows) <= 0:
-            raise ValueError("relabeling matrix must have positive determinant")
-
-
-def _det2(T: _RAT2) -> Fraction:
-    return T[0][0] * T[1][1] - T[0][1] * T[1][0]
-
-
-def act_relabel(
-    d: StabilityDatum, T: object, c: ChargeVec
-) -> tuple[Fraction, Fraction]:
-    """Right action of a rational matrix on a charge: returns T^{-1} c.
-
-    Composes associatively: acting by T1 then T2 equals acting by T1*T2.
-    Matrices with nonpositive determinant are rejected.
-    """
-    rows = _as_rational_matrix(T)
-    det = _det2(rows)
-    if det == 0:
-        raise ValueError("singular relabeling matrix")
-    if det < 0:
-        raise ValueError("relabeling matrix must have positive determinant")
-    (a, b), (cc, dd) = rows
-    x, y = c
-    # T^{-1} = adj(T)/det
-    return ((dd * x - b * y) / det, (-cc * x + a * y) / det)

@@ -6,7 +6,8 @@ never for parsing back.  Exit codes: 0 success, 1 a computation
 rejected its input (domain error), 2 malformed input (bad JSON, bad
 schema, bad arguments).  `--oracle` additionally runs the relevant
 brute-force cross-check and reports both answers; `--box` sets the
-lattice radius those searches use and `--seed` feeds the sampled ones.
+lattice radius those searches use (at most MAX_BOX) and `--seed` feeds
+the sampled ones.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ from .sheaves import (
 
 __all__ = ["main", "run"]
 
+# One box oracle call visits (2 * box + 1)^2 lattice points, about 160k
+# at the cap; larger radii are refused before anything is allocated.
+MAX_BOX = 200
+
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
@@ -64,6 +69,13 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError("expected a positive integer")
     return n
+
+
+def _box_radius(text: str) -> int:
+    box = _positive_int(text)
+    if box > MAX_BOX:
+        raise argparse.ArgumentTypeError(f"box radius above the cap of {MAX_BOX}")
+    return box
 
 
 def _cmd_phase_classes(args):
@@ -175,7 +187,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "table"), default="json", help="output format"
     )
     common.add_argument(
-        "--box", type=_positive_int, default=25, help="brute-force lattice radius"
+        "--box",
+        type=_box_radius,
+        default=25,
+        help=f"brute-force lattice radius, at most {MAX_BOX}",
     )
     common.add_argument("--seed", type=int, default=0, help="seed for sampled oracles")
     common.add_argument(

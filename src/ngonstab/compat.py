@@ -15,9 +15,9 @@ cohomological amplitude, is not decidable from K-data and enters as a
 caller-supplied integer certificate.
 
 Two coordinate readings of a 2x2 matrix coexist here and are easy to
-mix up.  `descend` reports the induced map in the lattice basis
-(charge(e_0), charge(e_1)) = ((-1, 0), (0, 1)).  The region tests
-(`eff_comp_member`, `compute_m`, `check_order`) act on ChargeVec pairs
+mix up.  `check_compatibility` reports the induced map in the lattice
+basis (charge(e_0), charge(e_1)) = ((-1, 0), (0, 1)).  The region tests
+(`compute_m`, `check_order` and the box oracles) act on ChargeVec pairs
 (re, im) directly, i.e. in the standard plane basis.  The two differ
 by conjugation with diag(-1, 1); `conjugate_by_D` converts.
 """
@@ -39,18 +39,15 @@ from .charges import (
     primitive,
 )
 from .gamma0 import Mat2, in_gamma0
-from .schemas import SchemaError
+from .schemas import SchemaError, is_int
 
 __all__ = [
     "KAuto",
     "CompatReport",
-    "EffCompSet",
     "apply_kauto",
     "check_kernel",
-    "descend",
     "conjugate_by_D",
     "check_order",
-    "eff_comp_member",
     "compute_m",
     "check_compatibility",
     "lift_k_matrix",
@@ -60,8 +57,6 @@ __all__ = [
     "identity_kauto",
     "shift_square_kauto",
     "order_preserved_brute_force",
-    "order_preserved_linear",
-    "order_preserved_pairwise",
     "sampled_pairwise_order",
     "box_sup_phase",
 ]
@@ -76,7 +71,7 @@ def _as_int_matrix(rows: object, size: int) -> IntMatrix:
     for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) != size:
             raise ValueError(f"expected a {size}x{size} integer matrix")
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in row):
+        if not all(is_int(x) for x in row):
             raise ValueError("matrix entries must be integers")
         out.append(tuple(row))
     return tuple(out)
@@ -164,8 +159,8 @@ class KAuto:
         )
         if abs(_mat_det(self.matrix)) != 1:
             raise ValueError("K-lattice automorphism must be unimodular")
-        if self.amplitude_certificate is not None and not isinstance(
-            self.amplitude_certificate, int
+        if self.amplitude_certificate is not None and not is_int(
+            self.amplitude_certificate
         ):
             raise ValueError("amplitude certificate must be an integer or None")
 
@@ -187,10 +182,10 @@ class KAuto:
             if key not in obj:
                 raise SchemaError(f"missing field {key!r}")
         n = obj["n"]
-        if not isinstance(n, int) or n < 1:
+        if not is_int(n) or n < 1:
             raise SchemaError("n must be a positive integer")
         cert = obj.get("amplitude_M")
-        if cert is not None and not isinstance(cert, int):
+        if cert is not None and not is_int(cert):
             raise SchemaError("amplitude_M must be an integer or null")
         try:
             matrix = _as_int_matrix(obj["matrix"], n + 1)
@@ -231,61 +226,10 @@ def _descend_matrix(A: KAuto) -> Mat2:
     return Mat2(c0[0], c1[0], sum(c0[1:]), sum(c1[1:]))
 
 
-def descend(A: KAuto) -> Mat2:
-    """The induced automorphism of the rank-2 charge image.
-
-    Returned in the lattice basis (charge(e_0), charge(e_1)); apply
-    conjugate_by_D to get the action on (re, im) plane coordinates.
-    Raises if the kernel is not preserved or if the induced map has
-    determinant -1 (orientation-reversing maps never pass the order
-    condition, so they are rejected here).
-    """
-    if not check_kernel(A):
-        raise ValueError("kernel not preserved; nothing descends")
-    M = _descend_matrix(A)
-    if M.det != 1:
-        raise ValueError("descended matrix has determinant -1")
-    return M
-
-
 def conjugate_by_D(M: Mat2) -> Mat2:
     """Conjugate by diag(-1, 1): switches between the (charge(e_0),
     charge(e_1)) lattice basis and (re, im) plane coordinates."""
     return Mat2(M.a, -M.b, -M.c, M.d)
-
-
-@dataclass(frozen=True)
-class EffCompSet:
-    """The effective-comparable region for a descended action.
-
-    Symbolic: holds n and the plane-coordinate 2x2 matrix; membership
-    of individual lattice vectors is decided by eff_comp_member.  The
-    effective cone is modeled as every nonzero lattice vector (each
-    charge value in H' or -H' is realized by a semistable object).
-    """
-
-    n: int
-    descended: Mat2
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if self.descended.det != 1:
-            raise ValueError("descended matrix must have determinant +1")
-
-
-def eff_comp_member(s: EffCompSet, v: ChargeVec) -> bool:
-    """Membership of v in the effective-comparable set.
-
-    v is in when its charge lies in H', or when -v's does and the
-    descended image of -v lands in H' as well (the comparable half).
-    """
-    if v == (0, 0):
-        raise ValueError("zero vector is not a member candidate")
-    if in_h_prime(v):
-        return True
-    neg = (-v[0], -v[1])
-    return in_h_prime(s.descended.matvec(neg))
 
 
 def check_order(M: Mat2, n: int) -> bool:
@@ -331,7 +275,6 @@ _VERDICTS = (
     "Compatible-by-criterion",
     "FailsKernel",
     "FailsOrientation",
-    "FailsOrder",
     "MissingAmplitude",
 )
 
@@ -365,9 +308,12 @@ class CompatReport:
 
 
 def check_compatibility(A: KAuto) -> CompatReport:
-    """Run the kernel, orientation, and order conditions in sequence.
+    """Run the kernel and orientation conditions in sequence.
 
-    The verdict is Compatible-by-criterion only when all three pass and
+    The order condition needs no rung of its own: it is det = +1 of the
+    plane action (check_order), and conjugate_by_D keeps the
+    determinant, so it holds once the orientation gate passes.  The
+    verdict is Compatible-by-criterion only when both gates pass and
     an amplitude certificate is present; the certificate requirement is
     what keeps a bare K-matrix from being declared compatible (bounded
     amplitude is a statement about objects, not classes).
@@ -377,12 +323,9 @@ def check_compatibility(A: KAuto) -> CompatReport:
     raw = _descend_matrix(A)
     if raw.det != 1:
         return CompatReport(True, None, False, False, None, "FailsOrientation")
-    plane = conjugate_by_D(raw)
-    if not check_order(plane, A.n):
-        return CompatReport(True, raw, True, False, None, "FailsOrder")
     if A.amplitude_certificate is None:
         return CompatReport(True, raw, True, True, None, "MissingAmplitude")
-    m = compute_m(plane, A.n)
+    m = compute_m(conjugate_by_D(raw), A.n)
     return CompatReport(True, raw, True, True, m, "Compatible-by-criterion")
 
 
@@ -430,8 +373,9 @@ def lift_k_matrix(
 
 
 def compose(A: KAuto, B: KAuto) -> KAuto:
-    """A after B.  Descending is covariant: descend(compose(A, B)) =
-    descend(A) @ descend(B).  Certificates add when both are present."""
+    """A after B.  Descending is covariant: the descended matrix of
+    compose(A, B) is the product of those of A and B.  Certificates add
+    when both are present."""
     if A.n != B.n:
         raise ValueError("cannot compose automorphisms of different n-gons")
     cert = None
@@ -483,8 +427,14 @@ def _sorted_primitive_box(box: int) -> tuple[tuple[ChargeVec, tuple], ...]:
 
 
 def _box_members(M: Mat2, n: int, box: int):
-    # same membership rule as eff_comp_member, but without the det +1
-    # gate so the oracle can also exhibit violations for reflections
+    """Primitive box vectors of the effective-comparable set, by phase.
+
+    The effective cone is modeled as every nonzero lattice vector (each
+    charge value in H' or -H' is realized by a semistable object).  v is
+    a member when its charge lies in H', or when the image of -v under
+    the plane action M does (the comparable half).  There is no det +1
+    gate, so the oracles can also exhibit violations for reflections.
+    """
     if n < 1:
         raise ValueError("n must be a positive integer")
     for v, key in _sorted_primitive_box(box):
@@ -500,9 +450,7 @@ def order_preserved_brute_force(M: Mat2, n: int, box: int = 25) -> bool:
     circle must wind exactly once: at most one circular descent (the
     place where the image arc passes the branch cut).  An orientation-
     reversing map reverses the walk and produces descents at almost
-    every step.  This is the sign-free content of the order condition;
-    the window-anchored variant that distinguishes M from -M is
-    order_preserved_linear.
+    every step.  Like check_order, it accepts M and -M alike.
     """
     if M.det not in (1, -1):
         raise ValueError("order check expects an invertible integer matrix")
@@ -523,66 +471,30 @@ def order_preserved_brute_force(M: Mat2, n: int, box: int = 25) -> bool:
     return True
 
 
-def order_preserved_linear(M: Mat2, n: int, box: int = 25) -> bool:
-    """The window-anchored order check: phases compared in (0, 2] as is.
-
-    This is the condition satisfied by the even-amplitude normalization;
-    for a determinant +1 matrix exactly the representative among M, -M
-    whose inverse keeps the branch-cut preimage out of the open upper
-    half plane passes it.
-    """
-    if M.det not in (1, -1):
-        raise ValueError("order check expects an invertible integer matrix")
-    prev_key = None
-    prev_img = None
-    for v, key in _box_members(M, n, box):
-        img = phase_of_charge(M.matvec(v)).sort_key()
-        if prev_key is not None:
-            if key == prev_key:
-                if img != prev_img:
-                    return False
-            elif not prev_img < img:
-                return False
-        prev_key, prev_img = key, img
-    return True
-
-
-def order_preserved_pairwise(M: Mat2, n: int, box: int = 8) -> bool:
-    """Literal all-pairs variant of the window-anchored order check;
-    validates the sorted-walk reduction of order_preserved_linear at
-    small box sizes."""
-    members = list(_box_members(M, n, box))
-    images = [phase_of_charge(M.matvec(v)).sort_key() for v, _ in members]
-    for i in range(len(members)):
-        for j in range(len(members)):
-            ki, kj = members[i][1], members[j][1]
-            if ki < kj and not images[i] < images[j]:
-                return False
-            if ki == kj and images[i] != images[j]:
-                return False
-    return True
-
-
 def sampled_pairwise_order(
     M: Mat2, n: int, box: int = 25, samples: int = 2000, seed: int = 0
 ) -> dict:
-    """Seeded random sample of the all-pairs order check.
+    """Seeded random sample of the all-pairs cyclic order check.
 
     The full pairwise scan is quadratic in the box population, so the
     command-line oracle draws pairs instead; the result reports how many
-    were drawn and how many violated the order.
+    were drawn and how many violated the order.  Both circles are cut,
+    the source one at the first member and the image one at its image,
+    so a pair keeps its order exactly when its triple with the first
+    member keeps its cyclic order.
     """
-    members = list(_box_members(M, n, box))
-    images = [phase_of_charge(M.matvec(v)).sort_key() for v, _ in members]
+    images = [
+        phase_of_charge(M.matvec(v)).sort_key() for v, _ in _box_members(M, n, box)
+    ]
+    # members arrive sorted by phase with no ties, so the cut source
+    # circle orders them by index; the cut image circle starts at images[0]
+    cut = images[0]
+    cyclic = [(img < cut, img) for img in images]
     rng = random.Random(seed)
     violations = 0
     for _ in range(samples):
-        i = rng.randrange(len(members))
-        j = rng.randrange(len(members))
-        ki, kj = members[i][1], members[j][1]
-        if ki < kj and not images[i] < images[j]:
-            violations += 1
-        elif ki == kj and images[i] != images[j]:
+        i, j = sorted((rng.randrange(len(cyclic)), rng.randrange(len(cyclic))))
+        if i < j and not cyclic[i] < cyclic[j]:
             violations += 1
     return {"box": box, "samples": samples, "violations": violations}
 
@@ -602,9 +514,3 @@ def box_sup_phase(M: Mat2, n: int, box: int) -> tuple[PhasePoint, ChargeVec]:
     if best_v is None:
         raise ValueError("no members in the box")
     return phase_of_charge(best_v), best_v
-
-
-def eff_comp_set_of(A: KAuto) -> EffCompSet:
-    """The effective-comparable region of a kernel-preserving KAuto,
-    with the descended action converted to plane coordinates."""
-    return EffCompSet(A.n, conjugate_by_D(descend(A)))

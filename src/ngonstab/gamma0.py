@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .charges import Slope
-from .schemas import SchemaError
+from .schemas import SchemaError, is_int
 
 __all__ = [
     "Mat2",
@@ -34,7 +34,6 @@ __all__ = [
     "cusp_class",
     "cusp_canonicalize",
     "cusp_equivalent",
-    "complete_to_gamma0",
     "enumerate_cusp_classes",
     "brute_force_cusp_partition",
     "restrict_partition_to_small_slopes",
@@ -132,7 +131,7 @@ class Mat2:
             or any(
                 not isinstance(row, list)
                 or len(row) != 2
-                or not all(isinstance(x, int) for x in row)
+                or not all(is_int(x) for x in row)
                 for row in obj
             )
         ):
@@ -296,20 +295,6 @@ def cusp_canonicalize(N: int, s: Slope) -> tuple[CuspClass, Mat2]:
 
 def cusp_equivalent(N: int, s1: Slope, s2: Slope) -> bool:
     return cusp_class(N, s1) == cusp_class(N, s2)
-
-
-def complete_to_gamma0(N: int, r: int, s: int) -> Mat2:
-    """Complete a coprime pair with s | N to [[r, *], [s, *]] of determinant one.
-
-    The result has lower-left entry s, hence lies in Gamma_0(s).
-    """
-    if N < 1 or s < 1:
-        raise ValueError("level and denominator must be positive")
-    if N % s != 0:
-        raise ValueError("denominator must divide the level")
-    if gcd(r, s) != 1:
-        raise ValueError(f"({r}, {s}) is not coprime")
-    return _complete(r, s)
 
 
 def enumerate_cusp_classes(N: int) -> tuple[CuspClass, ...]:

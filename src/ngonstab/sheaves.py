@@ -39,7 +39,7 @@ from math import gcd
 from typing import Union
 
 from .charges import ChargeVec, KClass, PhasePoint, charge, phase_of_charge
-from .schemas import SchemaError
+from .schemas import SchemaError, is_int
 
 __all__ = [
     "STABLE",
@@ -217,7 +217,7 @@ def _int_tuple(value: object, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be a sequence of integers")
     out = tuple(value)
     for x in out:
-        if not isinstance(x, int) or isinstance(x, bool):
+        if not is_int(x):
             raise ValueError(f"{what} must contain only integers")
     return out
 
@@ -860,24 +860,24 @@ def summand_from_json(n: int, obj: object) -> Summand:
         d = _require(obj, "multideg", "band")
         lam = Label.parse(_require(obj, "lambda", "band"))
         m = obj.get("m", 1)
-        if not isinstance(r, int) or not isinstance(m, int):
+        if not is_int(r) or not is_int(m):
             raise SchemaError("band r and m must be integers")
-        if not isinstance(d, list) or not all(isinstance(x, int) for x in d):
+        if not isinstance(d, list) or not all(is_int(x) for x in d):
             raise SchemaError("band multideg must be a list of integers")
         return BandSheaf(n, r, tuple(d), lam, m)
     if kind == "chain":
         k = _require(obj, "k", "chain")
         start = _require(obj, "start", "chain")
         d = _require(obj, "multideg", "chain")
-        if not isinstance(k, int) or not isinstance(start, int):
+        if not is_int(k) or not is_int(start):
             raise SchemaError("chain k and start must be integers")
-        if not isinstance(d, list) or not all(isinstance(x, int) for x in d):
+        if not isinstance(d, list) or not all(is_int(x) for x in d):
             raise SchemaError("chain multideg must be a list of integers")
         return ChainSheaf(n, k, start, tuple(d))
     if kind == "torsion":
         where = _require(obj, "position", "torsion")
         length = _require(obj, "length", "torsion")
-        if not isinstance(length, int):
+        if not is_int(length):
             raise SchemaError("torsion length must be an integer")
         if not isinstance(where, dict):
             raise SchemaError("torsion position must be an object")
@@ -885,12 +885,12 @@ def summand_from_json(n: int, obj: object) -> Summand:
         if pk == "smooth":
             comp = _require(where, "component", "smooth position")
             label = _require(where, "label", "smooth position")
-            if not isinstance(comp, int) or not isinstance(label, str):
+            if not is_int(comp) or not isinstance(label, str):
                 raise SchemaError("smooth position needs integer component, string label")
             return TorsionSheaf(n, SmoothPoint(comp, label), length)
         if pk == "node":
             idx = _require(where, "index", "node position")
-            if not isinstance(idx, int):
+            if not is_int(idx):
                 raise SchemaError("node index must be an integer")
             return TorsionSheaf(n, NodePoint(idx), length)
         raise SchemaError(f"unknown position kind {pk!r}")
@@ -906,7 +906,7 @@ def object_from_json(obj: object) -> SheafObject:
         raise SchemaError("sheaf object must be a JSON object")
     n = _require(obj, "n", "sheaf object")
     raw = _require(obj, "summands", "sheaf object")
-    if not isinstance(n, int):
+    if not is_int(n):
         raise SchemaError("n must be an integer")
     if not isinstance(raw, list):
         raise SchemaError("summands must be a list")

@@ -71,6 +71,21 @@ def test_check_compat_oracle_section():
     assert oracle["sampled_pairs"]["box"] == 10
 
 
+def test_check_compat_oracle_agrees_on_a_compatible_matrix(tmp_path):
+    # a determinant-one matrix that fails the window-anchored order: the
+    # sampled pairs must test the cyclic order, as the other two answers do
+    path = tmp_path / "kauto.json"
+    path.write_text('{"n": 1, "matrix": [[-2, -1], [5, 2]], "amplitude_M": 1}')
+    code, text = run(["check-compat", str(path), "--oracle"])
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["verdict"] == "Compatible-by-criterion"
+    oracle = payload["order_oracle"]
+    assert oracle["shortcut"] is True
+    assert oracle["cyclic_box_search"] is True
+    assert oracle["sampled_pairs"] == {"box": 25, "samples": 2000, "violations": 0}
+
+
 def test_semistable_with_oracle():
     code, text = run(["semistable", data("chain_plus_point.json"), "--oracle"])
     assert code == 0
@@ -143,6 +158,45 @@ def test_schema_error_exits_two(tmp_path):
 def test_bad_slope_exits_two():
     code, text = run(["reduce", "6", "--slope", "sideways"])
     assert code == 2
+
+
+def _torsion(n, position, length):
+    return {"n": n, "summands": [{"type": "torsion", "position": position, "length": length}]}
+
+
+NODE = {"kind": "node", "index": 0}
+BOOLEAN_CASES = [
+    pytest.param("semistable", {"n": 2, "summands": [
+        {"type": "chain", "k": 2, "start": 0, "multideg": [True, 0]}]}, id="chain-multideg"),
+    pytest.param("hn", {"n": 2, "summands": [
+        {"type": "band", "r": True, "multideg": [0, 0], "lambda": "1"}]}, id="band-r"),
+    pytest.param("charge", _torsion(True, NODE, True), id="object-n"),
+    pytest.param("charge", _torsion(2, NODE, True), id="torsion-length"),
+    pytest.param("charge", _torsion(2, {"kind": "node", "index": False}, 1), id="node-index"),
+    pytest.param("lift", [[True, 0], [4, True]], id="mat2-entries"),
+    pytest.param("check-compat", {"n": True, "matrix": [[1, 0], [0, 1]], "amplitude_M": 0},
+                 id="kauto-n"),
+    pytest.param("check-compat", {"n": 1, "matrix": [[1, 0], [0, 1]], "amplitude_M": True},
+                 id="kauto-amplitude"),
+]
+
+
+@pytest.mark.parametrize("verb,doc", BOOLEAN_CASES)
+def test_json_booleans_are_not_integers(tmp_path, capsys, verb, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = [verb, "4", str(path)] if verb == "lift" else [verb, str(path)]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert "true" not in out.out + out.err
+
+
+def test_box_radius_is_capped(capsys):
+    argv = ["check-compat", data("iota3.json"), "--box"]
+    # without --oracle no box is enumerated, so the cap itself is cheap to accept
+    assert run(argv + ["200"])[0] == 0
+    assert run(argv + ["201"])[0] == 2
+    assert "cap of 200" in capsys.readouterr().err
 
 
 def test_bad_arguments_exit_two(capsys):

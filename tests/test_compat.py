@@ -7,7 +7,6 @@ import pytest
 from ngonstab.charges import KClass, PhasePoint, add_half_turns
 from ngonstab.compat import (
     CompatReport,
-    EffCompSet,
     KAuto,
     apply_kauto,
     box_sup_phase,
@@ -17,16 +16,11 @@ from ngonstab.compat import (
     compose,
     compute_m,
     conjugate_by_D,
-    descend,
-    eff_comp_member,
-    eff_comp_set_of,
     identity_kauto,
     invert,
     iota_kauto,
     lift_k_matrix,
     order_preserved_brute_force,
-    order_preserved_linear,
-    order_preserved_pairwise,
     sampled_pairwise_order,
     shift_square_kauto,
 )
@@ -92,16 +86,6 @@ def test_check_kernel():
     assert not check_kernel(broken)
 
 
-def test_descend():
-    assert descend(identity_kauto(4)) == Mat2.identity()
-    assert descend(iota_kauto(6)) == Mat2.identity()
-    with pytest.raises(ValueError):
-        descend(KAuto(2, ((1, 0, 0), (0, 1, 1), (0, 0, 1))))
-    # swap on the 1-gon: kernel is trivial but the plane map reverses
-    with pytest.raises(ValueError):
-        descend(KAuto(1, ((0, 1), (1, 0))))
-
-
 def test_conjugate_by_D():
     m = Mat2(1, 2, 3, 4)
     assert conjugate_by_D(m) == Mat2(1, -2, -3, 4)
@@ -141,29 +125,6 @@ def test_box_sup_witness_is_a_member():
 
 
 # ---------------------------------------------------------------------------
-# effective-comparable membership
-
-
-def test_eff_comp_member():
-    s = EffCompSet(2, Mat2.identity())
-    assert eff_comp_member(s, (0, 1))
-    assert eff_comp_member(s, (-3, 0))
-    assert eff_comp_member(s, (1, 0))  # -v lands in H' under the identity
-    with pytest.raises(ValueError):
-        eff_comp_member(s, (0, 0))
-    rot = EffCompSet(2, ROT)
-    assert eff_comp_member(rot, (0, -1))
-    assert not eff_comp_member(rot, (1, -1))
-
-
-def test_eff_comp_set_of():
-    s = eff_comp_set_of(iota_kauto(3))
-    assert s.n == 3 and s.descended == Mat2.identity()
-    with pytest.raises(ValueError):
-        EffCompSet(2, Mat2(0, 1, 1, 0))
-
-
-# ---------------------------------------------------------------------------
 # the criterion itself
 
 
@@ -171,6 +132,7 @@ def test_known_compatibles():
     for a in (identity_kauto(3), iota_kauto(5), shift_square_kauto(2)):
         report = check_compatibility(a)
         assert report.verdict == "Compatible-by-criterion"
+        assert report.descended == Mat2.identity()
         assert report.kernel_preserved and report.det_plus_one
         assert report.order_preserved
         assert report.m_value is not None
@@ -183,6 +145,7 @@ def test_verdict_ladder():
     report = check_compatibility(swap)
     assert report.verdict == "FailsOrientation"
     assert report.kernel_preserved and not report.det_plus_one
+    assert report.descended is None and not report.order_preserved
     # a genuine lift with the certificate stripped off
     lifted = lift_k_matrix(2, Mat2(1, 1, 2, 3))
     bare = KAuto(2, lifted.matrix, None)
@@ -208,8 +171,9 @@ def test_lift_round_trip():
             assert in_gamma0(m2, n)
             lifted = lift_k_matrix(n, m2)
             assert check_kernel(lifted)
-            assert descend(lifted) == m2
-            assert check_compatibility(lifted).verdict == "Compatible-by-criterion"
+            report = check_compatibility(lifted)
+            assert report.descended == m2
+            assert report.verdict == "Compatible-by-criterion"
 
 
 def test_lift_rejections():
@@ -225,14 +189,15 @@ def test_lift_custom_kernel_action():
     perm = ((0, 1), (1, 0))
     lifted = lift_k_matrix(3, Mat2(1, 0, 3, 1), kernel_action=perm)
     assert check_kernel(lifted)
-    assert descend(lifted) == Mat2(1, 0, 3, 1)
+    assert check_compatibility(lifted).descended == Mat2(1, 0, 3, 1)
 
 
 def test_compose_and_invert():
     a = lift_k_matrix(4, Mat2(1, 1, 4, 5))
     b = lift_k_matrix(4, Mat2(1, 0, 4, 1))
     ab = compose(a, b)
-    assert descend(ab) == descend(a) @ descend(b)
+    descended = [check_compatibility(x).descended for x in (ab, a, b)]
+    assert descended[0] == descended[1] @ descended[2]
     assert ab.amplitude_certificate == 2
     inv = invert(a)
     assert compose(a, inv).matrix == identity_kauto(4).matrix
@@ -265,24 +230,24 @@ def test_cyclic_oracle_on_reflections_and_rotations():
 
 
 def test_cyclic_oracle_handles_negated_representatives():
-    # the window-anchored walk rejects this one, its negative passes;
-    # the cyclic walk accepts both, matching the determinant rule
+    # the cyclic walk accepts a matrix and its negative alike, matching
+    # the determinant rule
     m = Mat2(-1, 0, -2, -1)
     assert order_preserved_brute_force(m, 2, 10)
     assert order_preserved_brute_force(-m, 2, 10)
-    passes = [order_preserved_linear(x, 2, 10) for x in (m, -m)]
-    assert sorted(passes) == [False, True]
 
 
-def test_linear_matches_pairwise_small_boxes():
+def test_sampled_pairs_match_cyclic_search():
     rng = random.Random(11)
     checked = 0
-    while checked < 40:
-        m = Mat2(*(rng.randint(-4, 4) for _ in range(4)))
+    while checked < 200:
+        m = Mat2(*(rng.randint(-6, 6) for _ in range(4)))
         if m.det not in (1, -1):
             continue
         checked += 1
-        assert order_preserved_linear(m, 2, 6) == order_preserved_pairwise(m, 2, 6)
+        sampled = sampled_pairwise_order(m, 2, box=6, samples=300, seed=checked)
+        assert (sampled["violations"] == 0) == order_preserved_brute_force(m, 2, 6)
+        assert (sampled["violations"] == 0) == check_order(m, 2)
 
 
 def test_sampled_pairwise_oracle():

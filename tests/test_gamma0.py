@@ -11,7 +11,6 @@ from ngonstab.gamma0 import (
     brute_force_cusp_partition,
     brute_force_witness_bfs,
     class_count,
-    complete_to_gamma0,
     cusp_canonicalize,
     cusp_class,
     cusp_equivalent,
@@ -155,15 +154,6 @@ def test_enumerate_cusp_classes():
         # every class is its own canonical form
         for cls in classes:
             assert cusp_class(N, cls.slope) == cls
-
-
-def test_complete_to_gamma0():
-    m = complete_to_gamma0(12, 5, 6)
-    assert m.det == 1 and m.a == 5 and m.c == 6
-    with pytest.raises(ValueError):
-        complete_to_gamma0(12, 5, 5)  # 5 does not divide 12
-    with pytest.raises(ValueError):
-        complete_to_gamma0(12, 3, 6)  # not coprime
 
 
 # ---------------------------------------------------------------------------
