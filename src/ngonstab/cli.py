@@ -313,3 +313,7 @@ def main(argv=None) -> int:
     code, text = run(argv)
     (sys.stdout if code == 0 else sys.stderr).write(text)
     return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

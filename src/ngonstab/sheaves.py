@@ -20,9 +20,13 @@ component weight one: the slope of a sheaf is chi / (number of weighted
 support components), and a subsheaf destabilizes when its slope is not
 smaller.  For chains and bands the candidate subsheaves are supported on
 contiguous intervals, with the degree dropping by one at every node
-where the interval meets the rest of the curve; the verdict functions
-implement that interval combinatorics and the ``brute_force_*`` oracles
-re-derive it by enumerating twisted subsheaves directly.
+where the interval meets the rest of the curve.  The verdict functions
+decide every interval at once from one prefix sum of the degrees: on a
+chain of length k the scaled prefix f(t) = k*P[t] - chi*t must stay in
+[-k, 0], and on an indecomposable band around the N-cycle the periodic
+g(t) = N*P[t] - chi*t must spread by at most N; both cost O(k) or O(N).
+The ``brute_force_*`` oracles re-derive the verdicts by enumerating the
+intervals and their twisted subsheaves directly.
 
 Gluing parameters never enter any computed quantity except through
 equality tests, so ``Label`` models them as elements of a free abelian
@@ -34,11 +38,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import gcd
 from typing import Union
 
-from .charges import ChargeVec, KClass, PhasePoint, charge, phase_of_charge
+from .charges import ChargeVec, KClass, PhasePoint, phase_of_charge
 from .schemas import SchemaError, is_int
 
 __all__ = [
@@ -401,7 +405,25 @@ def k_class(s: Union[Summand, SheafObject]) -> KClass:
 
 
 def object_charge(s: Union[Summand, SheafObject]) -> ChargeVec:
-    return charge(k_class(s))
+    """Central charge (-chi, total rank), read straight off the summand data.
+
+    Equal to charges.charge(k_class(s)), without building the length-n
+    rank vector of the K-class.
+    """
+    if isinstance(s, SheafObject):
+        re = im = 0
+        for part in s.summands:
+            x, y = object_charge(part)
+            re += x
+            im += y
+        return (re, im)
+    if isinstance(s, BandSheaf):
+        return (-s.m * sum(s.multideg), s.r * s.m * s.n)
+    if isinstance(s, ChainSheaf):
+        return (-1 - sum(s.multideg), s.k)
+    if isinstance(s, TorsionSheaf):
+        return (-s.length, 0)
+    raise TypeError(f"not a sheaf model: {type(s).__name__}")
 
 
 def phase(s: Union[Summand, SheafObject]) -> PhasePoint:
@@ -557,12 +579,20 @@ def is_semistable(s: Summand) -> str:
     """Slope-stability verdict for one summand.
 
     Torsion: a length-one point admits no proper subsheaf; longer ones
-    are iterated equal-phase extensions.  Chains compare every proper
-    contiguous interval, with the degree cut by one at each interior
-    end.  Bands with multiplicity reduce to their multiplicity-one core,
-    decomposable bands to their repeating piece, and an indecomposable
-    one-multiplicity band runs the interval test around its covering
-    cycle, where a proper interval always has two boundary cuts.
+    are iterated equal-phase extensions.  Chains and bands compare every
+    proper contiguous interval, with the degree cut by one at each end
+    that meets the rest of the curve, through one prefix sum P of the
+    degrees and chi = 1 + sum(d) (chain) or sum(d) (band):
+
+    * a chain of length k is judged by f(t) = k*P[t] - chi*t on
+      1 <= t < k, in O(k): Unstable if some f(t) leaves [-k, 0],
+      StrictlySemistable if some f(t) is 0 or -k, Stable otherwise;
+    * bands with multiplicity reduce to their multiplicity-one core,
+      decomposable bands to their repeating piece, and an indecomposable
+      one-multiplicity band on the N-cycle is judged by the N-periodic
+      g(t) = N*P[t] - chi*t, in O(N): Unstable if max g - min g > N,
+      StrictlySemistable if some g-value plus N is again a g-value,
+      Stable otherwise.
     """
     if isinstance(s, TorsionSheaf):
         return STABLE if s.length == 1 else SEMISTABLE
@@ -574,24 +604,18 @@ def is_semistable(s: Summand) -> str:
 
 
 def _chain_interval_verdict(k: int, d: tuple[int, ...]) -> str:
-    total = 1 + sum(d)
-    prefix = [0]
-    for x in d:
-        prefix.append(prefix[-1] + x)
-    saw_equal = False
-    for i in range(k):
-        for j in range(i, k):
-            if i == 0 and j == k - 1:
-                continue
-            cuts = (i > 0) + (j < k - 1)
-            chi_sub = 1 + prefix[j + 1] - prefix[i] - cuts
-            ell = j - i + 1
-            # chi_sub / ell vs total / k, cross-multiplied
-            if chi_sub * k > total * ell:
-                return UNSTABLE
-            if chi_sub * k == total * ell:
-                saw_equal = True
-    return SEMISTABLE if saw_equal else STABLE
+    # The interval [i, j] has excess chi_sub*k - chi*ell equal to
+    # k*(1 - cuts) + f(j + 1) - f(i), with f(0) = 0 and f(k) = -k.  The
+    # prefix ending at t - 1 has excess f(t) and the suffix starting at t
+    # has excess -k - f(t).  An interior interval has excess
+    # f(b) - f(a) - k for 1 <= a < b < k, which is negative once every
+    # f(t) lies in [-k, 0] and zero only where a prefix is already tied,
+    # so the prefixes and suffixes decide the verdict.
+    chi = 1 + sum(d)
+    f = set(accumulate(k * x - chi for x in d[:-1]))
+    if any(v > 0 or v < -k for v in f):
+        return UNSTABLE
+    return SEMISTABLE if 0 in f or -k in f else STABLE
 
 
 def _band_verdict(b: BandSheaf) -> str:
@@ -608,19 +632,14 @@ def _band_verdict(b: BandSheaf) -> str:
     N = b.n * b.r
     if N == 1:
         return STABLE
-    d = b.multideg
-    total = sum(d)
-    saw_equal = False
-    for i in range(N):
-        run = 0
-        for ell in range(1, N):
-            run += d[(i + ell - 1) % N]
-            chi_sub = run - 1  # 1 + (degrees cut once at each of the two ends)
-            if chi_sub * N > total * ell:
-                return UNSTABLE
-            if chi_sub * N == total * ell:
-                saw_equal = True
-    return SEMISTABLE if saw_equal else STABLE
+    # The interval of length ell starting at a has chi_sub = P[a+ell] - P[a] - 1,
+    # so its excess chi_sub*N - chi*ell is g(a + ell) - g(a) - N, and each
+    # ordered pair of distinct residues mod N is exactly one proper interval.
+    chi = sum(b.multideg)
+    g = set(accumulate((N * x - chi for x in b.multideg[:-1]), initial=0))
+    if max(g) - min(g) > N:
+        return UNSTABLE
+    return SEMISTABLE if any(v + N in g for v in g) else STABLE
 
 
 def brute_force_chain_verdict(c: ChainSheaf, extra_depth: int = 2) -> str:
@@ -817,6 +836,11 @@ def random_object(
 # ---------------------------------------------------------------------------
 # JSON
 
+# A decoded object lives on at most MAX_N components: its K-class holds one
+# rank per component, so a larger n is refused before anything is built.
+# Chain and band lengths need no cap, since the JSON lists bound them.
+MAX_N = 10_000
+
 
 def summand_to_json(s: Summand) -> dict:
     if isinstance(s, BandSheaf):
@@ -908,6 +932,10 @@ def object_from_json(obj: object) -> SheafObject:
     raw = _require(obj, "summands", "sheaf object")
     if not is_int(n):
         raise SchemaError("n must be an integer")
+    if n < 1:
+        raise SchemaError("n must be positive")
+    if n > MAX_N:
+        raise SchemaError(f"n above the cap of {MAX_N}")
     if not isinstance(raw, list):
         raise SchemaError("summands must be a list")
     return SheafObject(tuple(summand_from_json(n, x) for x in raw))

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import ngonstab
 from ngonstab.cli import main, run
+from ngonstab.sheaves import MAX_N
 
 HERE = pathlib.Path(__file__).parent
 DATA = HERE / "data"
@@ -189,6 +194,42 @@ def test_json_booleans_are_not_integers(tmp_path, capsys, verb, doc):
     assert main(argv) == 2
     out = capsys.readouterr()
     assert "true" not in out.out + out.err
+
+
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("verb", ["charge", "hn", "semistable"])
+def test_non_positive_n_is_malformed(tmp_path, capsys, verb, n):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_torsion(n, NODE, 1)))
+    assert main([verb, str(path)]) == 2
+    assert "n must be positive" in capsys.readouterr().err
+
+
+def test_curve_size_is_capped(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    # the cap itself is cheap: its K-class lists MAX_N ranks
+    path.write_text(json.dumps(_torsion(MAX_N, NODE, 1)))
+    code, text = run(["charge", str(path)])
+    assert code == 0
+    assert len(json.loads(text)["k_class"]["ranks"]) == MAX_N
+    path.write_text(json.dumps(_torsion(MAX_N + 1, NODE, 1)))
+    assert main(["charge", str(path)]) == 2
+    assert f"cap of {MAX_N}" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_the_verb():
+    src = str(pathlib.Path(ngonstab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "ngonstab.cli", "cusps", "4"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout == (GOLDEN / "cusps_4.txt").read_text()
 
 
 def test_box_radius_is_capped(capsys):

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ngonstab.charges import KClass, PhasePoint
+from ngonstab.charges import KClass, PhasePoint, charge
 from ngonstab.schemas import SchemaError
 from ngonstab.sheaves import (
     SEMISTABLE,
@@ -367,6 +367,81 @@ def test_band_oracle_agrees_sampled():
         d = tuple(rng.randint(-3, 3) for _ in range(n * r))
         b = BandSheaf(n, r, d, A, rng.randint(1, 2))
         assert is_semistable(b) == brute_force_band_verdict(b), (n, r, d)
+
+
+def _staircase(length, chi):
+    """Degree vector whose prefix sums follow floor(t * chi / length)."""
+    prefix = [t * chi // length for t in range(length + 1)]
+    return [prefix[t + 1] - prefix[t] for t in range(length)]
+
+
+def _bumped(d, rng):
+    """Up to three +1/-1 bumps, pushing some prefixes onto or past the boundary."""
+    d = list(d)
+    for _ in range(rng.randint(0, 3)):
+        d[rng.randrange(len(d))] += rng.choice((-1, 1))
+    return d
+
+
+def test_chain_verdict_matches_literal_oracle_near_balance():
+    rng = random.Random(40)
+    seen = set()
+    for _ in range(400):
+        k = rng.randint(2, 40)
+        chi = rng.randint(-k, k)
+        d = _bumped(_staircase(k, chi), rng)
+        d[-1] -= 1  # the chain's chi is 1 + sum(d)
+        c = ChainSheaf(3, k, 0, tuple(d))
+        got = is_semistable(c)
+        assert got == brute_force_chain_verdict(c, extra_depth=0), d
+        seen.add(got)
+    assert seen == {STABLE, SEMISTABLE, UNSTABLE}
+
+
+def test_band_verdict_matches_literal_oracle_near_balance():
+    rng = random.Random(41)
+    seen = set()
+    checked = 0
+    while checked < 200:
+        n = rng.randint(1, 10)
+        r = rng.randint(1, 30 // n)
+        N = n * r
+        d = _bumped(_staircase(N, rng.randint(-N, N)), rng)
+        turn = rng.randrange(N)
+        b = BandSheaf(n, r, tuple(d[turn:] + d[:turn]), A)
+        if N == 1 or not b.is_indecomposable:
+            continue
+        got = is_semistable(b)
+        assert got == brute_force_band_verdict(b, twist_depth=0), (n, r, b.multideg)
+        seen.add(got)
+        checked += 1
+    assert seen == {STABLE, SEMISTABLE, UNSTABLE}
+
+
+def test_long_balanced_summands_are_stable():
+    # the staircase of a slope in lowest terms keeps every interval
+    # strictly below it; the interval scan this replaced took seconds here
+    k = 4000
+    d = _staircase(k, 2001)
+    d[-1] -= 1  # chain chi = 1 + sum(d) = 2001, coprime to k
+    assert is_semistable(ChainSheaf(7, k, 0, tuple(d))) == STABLE
+    band = BandSheaf(8, 500, tuple(_staircase(4000, 1333)), A)
+    assert band.is_indecomposable
+    assert is_semistable(band) == STABLE
+
+
+def test_object_charge_matches_k_class():
+    corpus = random_corpus(42, 300, kinds=("chain", "band", "torsion"))
+    assert {s.m for s in corpus if isinstance(s, BandSheaf)} == {1, 2}
+    assert {type(s) for s in corpus} == {ChainSheaf, BandSheaf, TorsionSheaf}
+    for s in corpus:
+        assert object_charge(s) == charge(k_class(s)), s
+    rng = random.Random(43)
+    for _ in range(200):
+        obj = random_object(rng)
+        assert object_charge(obj) == charge(k_class(obj))
+        for s in obj.summands:
+            assert object_charge(s) == charge(k_class(s)), s
 
 
 def test_verdict_rejects_objects():
