@@ -7,8 +7,9 @@ Euler characteristic chi and total rank r to the Gaussian integer
 -chi + i*r, so its image is the full rank-2 lattice no matter what n is.
 
 Phases are never floats here.  A phase is stored as a primitive lattice
-direction together with an even integer shift, and comparisons are done
-by sector index plus one exact cross-product / ratio test.  The branch
+direction together with an even integer shift.  Two directions are
+ordered by sector index and, inside one sector, by the sign of one
+integer cross product (`phase_cmp`); no ratio is ever formed.  The branch
 window is (0, 2] with the discontinuity on the positive real axis:
 directions in the closed upper half plane H' = {im > 0} u {im = 0, re < 0}
 carry phases in (0, 1], their negatives carry (1, 2].
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 __all__ = [
@@ -128,20 +130,34 @@ def _sector(c: ChargeVec) -> int:
     return 6
 
 
-def phase_sort_key(c: ChargeVec) -> tuple[int, Fraction]:
-    """Exact key ordering nonzero charges by phase inside (0, 2].
+def phase_cmp(a: ChargeVec, b: ChargeVec) -> int:
+    """Compare the phases of two nonzero vectors: -1, 0 or 1.
 
-    Within an open quadrant the phase increases with im/re (the tangent of
-    the angle is monotone on each open quadrant, in all four of them), so
-    the ratio breaks ties after the sector index.  Axis directions get a
-    constant second component.
+    The sector index decides first.  Inside one sector every direction
+    lies in an open half plane, so b is counterclockwise of a (larger
+    phase) exactly when the cross product a x b is positive; on an axis
+    sector the cross product is 0.  The vectors need not be primitive:
+    positive multiples of one direction compare equal.
+    """
+    sa, sb = _sector(a), _sector(b)
+    if sa != sb:
+        return -1 if sa < sb else 1
+    cross = a[0] * b[1] - a[1] * b[0]
+    return (cross < 0) - (cross > 0)
+
+
+_phase_key = cmp_to_key(phase_cmp)
+
+
+def phase_sort_key(c: ChargeVec):
+    """Sort key ordering nonzero charges by phase inside (0, 2].
+
+    Keys compare with <, > and == through phase_cmp; equal keys are
+    directions on one ray.
     """
     if c == (0, 0):
         raise ValueError("charge in kernel")
-    s = _sector(c)
-    x, y = c
-    ratio = Fraction(y, x) if x != 0 else Fraction(0)
-    return (s, ratio)
+    return _phase_key(c)
 
 
 @dataclass(frozen=True, order=False)
@@ -164,9 +180,8 @@ class PhasePoint:
         if primitive(d) != d:
             raise ValueError("phase direction must be primitive")
 
-    def sort_key(self) -> tuple[int, int, Fraction]:
-        s, ratio = phase_sort_key(self.dir)
-        return (self.two_shift, s, ratio)
+    def sort_key(self) -> tuple:
+        return (self.two_shift, _phase_key(self.dir))
 
     def to_json(self) -> dict:
         return {"two_shift": self.two_shift, "dir": list(self.dir)}
@@ -181,12 +196,9 @@ def phase_of_charge(c: ChargeVec) -> PhasePoint:
 
 def compare_phase(a: PhasePoint, b: PhasePoint) -> str:
     """Total order on phase points: returns 'LT', 'EQ' or 'GT'."""
-    ka, kb = a.sort_key(), b.sort_key()
-    if ka < kb:
-        return "LT"
-    if ka > kb:
-        return "GT"
-    return "EQ"
+    if a.two_shift != b.two_shift:
+        return "LT" if a.two_shift < b.two_shift else "GT"
+    return ("LT", "EQ", "GT")[phase_cmp(a.dir, b.dir) + 1]
 
 
 def add_half_turns(p: PhasePoint, turns: int) -> PhasePoint:

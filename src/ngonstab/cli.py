@@ -7,7 +7,8 @@ rejected its input (domain error), 2 malformed input (bad JSON, bad
 schema, bad arguments).  `--oracle` additionally runs the relevant
 brute-force cross-check and reports both answers; `--box` sets the
 lattice radius those searches use (at most MAX_BOX) and `--seed` feeds
-the sampled ones.
+the sampled ones.  A level is at most sheaves.MAX_N, and at most
+compat.MAX_K_N where it sizes a K-matrix (`lift`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 
 from .charges import Slope, slope_to_phase
 from .compat import (
+    MAX_K_N,
     KAuto,
     check_compatibility,
     conjugate_by_D,
@@ -37,6 +39,7 @@ from .hn import brute_force_polygon, hn_of_object, hn_polygon
 from .moduli import classify, enumerate_rigid
 from .schemas import SchemaError
 from .sheaves import (
+    MAX_N,
     BandSheaf,
     ChainSheaf,
     brute_force_band_verdict,
@@ -71,11 +74,21 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _box_radius(text: str) -> int:
-    box = _positive_int(text)
-    if box > MAX_BOX:
-        raise argparse.ArgumentTypeError(f"box radius above the cap of {MAX_BOX}")
-    return box
+def _capped(cap: int, what: str):
+    """Argparse type for a positive integer that is refused above cap."""
+
+    def parse(text: str) -> int:
+        value = _positive_int(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"{what} above the cap of {cap}")
+        return value
+
+    return parse
+
+
+_box_radius = _capped(MAX_BOX, "box radius")
+_level = _capped(MAX_N, "level")
+_lift_level = _capped(MAX_K_N, "level")
 
 
 def _cmd_phase_classes(args):
@@ -203,31 +216,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "phase-classes", parents=[common], help="count phase classes at a level"
     )
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=_level)
     p.set_defaults(func=_cmd_phase_classes)
 
     p = sub.add_parser("cusps", parents=[common], help="list canonical cusp classes")
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=_level)
     p.set_defaults(func=_cmd_cusps)
 
     p = sub.add_parser(
         "reduce", parents=[common], help="canonicalize a slope with a witness"
     )
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=_level)
     p.add_argument("--slope", required=True, help="p/q, an integer, or inf")
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser(
         "classify", parents=[common], help="describe the stable moduli at a phase"
     )
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=_level)
     p.add_argument("--slope", required=True, help="p/q, an integer, or inf")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser(
         "rigid", parents=[common], help="the isolated stable chains at a phase class"
     )
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=_level)
     p.add_argument("--slope", required=True, help="p/q, an integer, or inf")
     p.set_defaults(func=_cmd_rigid)
 
@@ -240,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lift", parents=[common], help="lift a 2x2 level matrix to a K-matrix"
     )
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=_lift_level)
     p.add_argument("file", help="2x2 matrix JSON file")
     p.set_defaults(func=_cmd_lift)
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -35,7 +34,9 @@ from .charges import (
     KClass,
     PhasePoint,
     in_h_prime,
+    phase_cmp,
     phase_of_charge,
+    phase_sort_key,
     primitive,
 )
 from .gamma0 import Mat2, in_gamma0
@@ -62,6 +63,11 @@ __all__ = [
 ]
 
 IntMatrix = tuple[tuple[int, ...], ...]
+
+# A decoded K-matrix, and a lift on the command line, has n + 1 <= 201
+# rows: building and checking one is cubic in n (about 0.8 s at the cap
+# on a 2-CPU x86-64 host), so larger n is refused before any of it runs.
+MAX_K_N = 200
 
 
 def _as_int_matrix(rows: object, size: int) -> IntMatrix:
@@ -113,28 +119,40 @@ def _mat_identity(n: int) -> IntMatrix:
 
 
 def _mat_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix, by exact elimination."""
+    """Inverse of a unimodular integer matrix, by integer row operations.
+
+    Each column is cleared below the diagonal by the Euclidean algorithm
+    on its rows (swap, subtract an integer multiple), so every step is
+    unimodular and the diagonal left behind multiplies to +-det.  A
+    unimodular matrix therefore leaves +-1 on the whole diagonal, and
+    back substitution divides by nothing.
+    """
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
+        while True:
+            live = [r for r in range(col, n) if a[r][col] != 0]
+            if not live:
+                raise ValueError("matrix is singular")
+            pivot = min(live, key=lambda r: abs(a[r][col]))
+            a[col], a[pivot] = a[pivot], a[col]
+            p = a[col][col]
+            for r in live:
+                if r != col and a[r][col] != 0:
+                    q = a[r][col] // p
+                    a[r] = [x - q * y for x, y in zip(a[r], a[col])]
+            if all(a[r][col] == 0 for r in range(col + 1, n)):
+                break
+    if any(abs(a[i][i]) != 1 for i in range(n)):
+        raise ValueError("matrix is not unimodular")
+    for col in reversed(range(n)):
+        if a[col][col] == -1:
+            a[col] = [-x for x in a[col]]
+        for r in range(col):
+            f = a[r][col]
+            if f != 0:
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = []
-    for i in range(n):
-        row = a[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    return tuple(tuple(row[n:]) for row in a)
 
 
 @dataclass(frozen=True)
@@ -184,6 +202,8 @@ class KAuto:
         n = obj["n"]
         if not is_int(n) or n < 1:
             raise SchemaError("n must be a positive integer")
+        if n > MAX_K_N:
+            raise SchemaError(f"n above the cap of {MAX_K_N}")
         cert = obj.get("amplitude_M")
         if cert is not None and not is_int(cert):
             raise SchemaError("amplitude_M must be an integer or null")
@@ -414,15 +434,18 @@ def shift_square_kauto(n: int) -> KAuto:
 # brute-force oracles over lattice boxes
 
 
-@lru_cache(maxsize=None)
-def _sorted_primitive_box(box: int) -> tuple[tuple[ChargeVec, tuple], ...]:
-    """Primitive vectors of [-box, box]^2 with phase keys, sorted by phase."""
-    pts = []
-    for x in range(-box, box + 1):
-        for y in range(-box, box + 1):
-            if (x, y) != (0, 0) and gcd(x, y) == 1:
-                pts.append(((x, y), phase_of_charge((x, y)).sort_key()))
-    pts.sort(key=lambda t: t[1])
+# The box oracles run at a handful of radii.  Eight sorted boxes stay
+# cached: 6,192 vectors at radius 50, 97,856 (about 8 MB) at radius 200.
+@lru_cache(maxsize=8)
+def _sorted_primitive_box(box: int) -> tuple[ChargeVec, ...]:
+    """Primitive vectors of [-box, box]^2, sorted by phase."""
+    pts = [
+        (x, y)
+        for x in range(-box, box + 1)
+        for y in range(-box, box + 1)
+        if gcd(x, y) == 1
+    ]
+    pts.sort(key=phase_sort_key)
     return tuple(pts)
 
 
@@ -437,9 +460,16 @@ def _box_members(M: Mat2, n: int, box: int):
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    for v, key in _sorted_primitive_box(box):
-        if in_h_prime(v) or in_h_prime(M.matvec((-v[0], -v[1]))):
-            yield v, key
+    a, b, c, d = M.a, M.b, M.c, M.d
+    for v in _sorted_primitive_box(box):
+        x, y = v
+        if y > 0 or (y == 0 and x < 0):
+            yield v
+            continue
+        # -Mv lies in H' iff Mv lies in -H'
+        im = c * x + d * y
+        if im < 0 or (im == 0 and a * x + b * y > 0):
+            yield v
 
 
 def order_preserved_brute_force(M: Mat2, n: int, box: int = 25) -> bool:
@@ -454,20 +484,20 @@ def order_preserved_brute_force(M: Mat2, n: int, box: int = 25) -> bool:
     """
     if M.det not in (1, -1):
         raise ValueError("order check expects an invertible integer matrix")
-    images = [
-        phase_of_charge(M.matvec(v)).sort_key() for v, _ in _box_members(M, n, box)
-    ]
+    images = [M.matvec(v) for v in _box_members(M, n, box)]
     if len(images) <= 2:
         return True
     descents = 0
-    for i, img in enumerate(images):
-        nxt = images[(i + 1) % len(images)]
-        if img == nxt:
+    prev = images[-1]
+    for img in images:
+        step = phase_cmp(prev, img)
+        if step == 0:
             return False  # two members on one image ray: not injective
-        if img > nxt:
+        if step > 0:
             descents += 1
             if descents > 1:
                 return False
+        prev = img
     return True
 
 
@@ -483,9 +513,7 @@ def sampled_pairwise_order(
     so a pair keeps its order exactly when its triple with the first
     member keeps its cyclic order.
     """
-    images = [
-        phase_of_charge(M.matvec(v)).sort_key() for v, _ in _box_members(M, n, box)
-    ]
+    images = [phase_sort_key(M.matvec(v)) for v in _box_members(M, n, box)]
     # members arrive sorted by phase with no ties, so the cut source
     # circle orders them by index; the cut image circle starts at images[0]
     cut = images[0]
@@ -506,11 +534,10 @@ def box_sup_phase(M: Mat2, n: int, box: int) -> tuple[PhasePoint, ChargeVec]:
     the sup is attained at a lattice direction, so large enough boxes
     reach it exactly.
     """
-    best = None
     best_v = None
-    for v, key in _box_members(M, n, box):
-        if best is None or key > best:
-            best, best_v = key, v
+    for v in _box_members(M, n, box):
+        if best_v is None or phase_cmp(v, best_v) > 0:
+            best_v = v
     if best_v is None:
         raise ValueError("no members in the box")
     return phase_of_charge(best_v), best_v

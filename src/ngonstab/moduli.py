@@ -88,7 +88,9 @@ def phase_representative(n: int, a: PhasePoint) -> tuple[CuspClass, Mat2]:
     return cusp_canonicalize(n, slope)
 
 
-@lru_cache(maxsize=None)
+# Levels up to 60 carry 294 cusp classes, so 512 keys hold every rigid
+# locus at such levels while the cache stays bounded.
+@lru_cache(maxsize=512)
 def enumerate_rigid(n: int, r: int, s: int) -> tuple[ChainSheaf, ...]:
     """The n isolated stable points at the representative r/s: length-s chains.
 

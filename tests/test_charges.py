@@ -15,6 +15,7 @@ from ngonstab.charges import (
     compare_phase,
     in_h_prime,
     in_kernel,
+    phase_cmp,
     phase_of_charge,
     phase_sort_key,
     primitive,
@@ -195,6 +196,48 @@ def test_compare_phase_is_transitive(a, b, c):
     order = {"LT": -1, "EQ": 0, "GT": 1}
     if order[compare_phase(a, b)] <= 0 and order[compare_phase(b, c)] <= 0:
         assert compare_phase(a, c) in ("LT", "EQ")
+
+
+wide_dirs = st.tuples(
+    st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)
+).filter(lambda c: c != (0, 0))
+
+
+@given(wide_dirs, wide_dirs)
+def test_phase_cmp_is_antisymmetric(a, b):
+    assert phase_cmp(a, b) == -phase_cmp(b, a)
+    assert phase_cmp(a, b) in (-1, 0, 1)
+
+
+@given(wide_dirs, wide_dirs)
+def test_phase_cmp_ties_exactly_on_one_ray(a, b):
+    assert (phase_cmp(a, b) == 0) == (primitive(a) == primitive(b))
+
+
+@given(nonzero_dirs, st.integers(1, 10**6))
+def test_phase_cmp_ignores_positive_multiples(a, k):
+    assert phase_cmp(a, (k * a[0], k * a[1])) == 0
+    assert phase_cmp(a, (-k * a[0], -k * a[1])) != 0
+
+
+@given(wide_dirs, wide_dirs)
+def test_phase_cmp_matches_float_phase(a, b):
+    fa, fb = float_phase(a), float_phase(b)
+    if abs(fa - fb) > 1e-9:
+        assert phase_cmp(a, b) == (-1 if fa < fb else 1)
+
+
+@given(phase_points, phase_points)
+def test_compare_phase_matches_sort_key(a, b):
+    ka, kb = a.sort_key(), b.sort_key()
+    expected = "LT" if ka < kb else "GT" if ka > kb else "EQ"
+    assert compare_phase(a, b) == expected
+    assert (ka == kb) == (a == b)
+
+
+def test_phase_sort_key_refuses_zero():
+    with pytest.raises(ValueError):
+        phase_sort_key((0, 0))
 
 
 # ---------------------------------------------------------------------------

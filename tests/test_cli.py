@@ -10,6 +10,7 @@ import pytest
 
 import ngonstab
 from ngonstab.cli import main, run
+from ngonstab.compat import MAX_K_N
 from ngonstab.sheaves import MAX_N
 
 HERE = pathlib.Path(__file__).parent
@@ -238,6 +239,40 @@ def test_box_radius_is_capped(capsys):
     assert run(argv + ["200"])[0] == 0
     assert run(argv + ["201"])[0] == 2
     assert "cap of 200" in capsys.readouterr().err
+
+
+LEVEL_VERBS = [
+    ["phase-classes"],
+    ["cusps"],
+    ["reduce", "--slope=1/2"],
+    ["classify", "--slope=1/2"],
+    ["rigid", "--slope=1/2"],
+    ["lift", data("gamma0_4.json")],
+]
+
+
+@pytest.mark.parametrize("level", [MAX_N + 1, 10**18 + 3])
+@pytest.mark.parametrize("verb", LEVEL_VERBS, ids=lambda v: v[0])
+def test_level_is_capped(verb, level, capsys):
+    # refused in the argument parser, before any level-sized work runs
+    assert run([verb[0], str(level)] + verb[1:])[0] == 2
+    cap = MAX_K_N if verb[0] == "lift" else MAX_N
+    assert f"level above the cap of {cap}" in capsys.readouterr().err
+
+
+def test_level_cap_itself_is_accepted():
+    for verb in LEVEL_VERBS[:3]:
+        assert run([verb[0], str(MAX_N)] + verb[1:])[0] == 0
+
+
+def test_k_matrix_size_is_capped(tmp_path, capsys):
+    assert run(["lift", str(MAX_K_N + 1), data("gamma0_4.json")])[0] == 2
+    assert f"cap of {MAX_K_N}" in capsys.readouterr().err
+    # the size is refused before the matrix is even read
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": MAX_K_N + 1, "matrix": [], "amplitude_M": 1}))
+    assert main(["check-compat", str(path)]) == 2
+    assert f"n above the cap of {MAX_K_N}" in capsys.readouterr().err
 
 
 def test_bad_arguments_exit_two(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from ngonstab.charges import KClass, PhasePoint, add_half_turns
 from ngonstab.compat import (
+    MAX_K_N,
     CompatReport,
     KAuto,
     apply_kauto,
@@ -23,6 +24,9 @@ from ngonstab.compat import (
     order_preserved_brute_force,
     sampled_pairwise_order,
     shift_square_kauto,
+    _mat_identity,
+    _mat_inverse,
+    _mat_mul,
 )
 from ngonstab.gamma0 import Mat2, in_gamma0
 from ngonstab.schemas import SchemaError
@@ -214,6 +218,45 @@ def test_compose_and_invert():
 # order oracles
 
 
+def random_unimodular(rng: random.Random, size: int) -> tuple:
+    """Identity scrambled by row additions, swaps and negations."""
+    rows = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(3 * size):
+        i, j = rng.sample(range(size), 2)
+        q = rng.randint(-3, 3)
+        rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+        if rng.random() < 0.3:
+            rows[i], rows[j] = rows[j], rows[i]
+        if rng.random() < 0.2:
+            rows[i] = [-x for x in rows[i]]
+    return tuple(tuple(r) for r in rows)
+
+
+def test_integer_inverse_on_random_unimodular_kautos():
+    rng = random.Random(5)
+    for trial in range(300):
+        n = 1 + trial % 12
+        a = KAuto(n, random_unimodular(rng, n + 1))
+        inv = invert(a).matrix
+        assert _mat_mul(a.matrix, inv) == _mat_identity(n + 1)
+        assert _mat_mul(inv, a.matrix) == _mat_identity(n + 1)
+        assert _mat_inverse(inv) == a.matrix
+
+
+def test_integer_inverse_refuses_non_unimodular():
+    with pytest.raises(ValueError, match="not unimodular"):
+        _mat_inverse(((2, 0, 0), (0, 1, 0), (1, 5, 1)))  # det 2
+    with pytest.raises(ValueError, match="not unimodular"):
+        _mat_inverse(((3, 1), (1, 1)))  # det 2, no zero pivot on the way
+    with pytest.raises(ValueError, match="singular"):
+        _mat_inverse(((3, 0), (3, 0)))
+
+
+def test_k_matrix_decoder_is_capped():
+    with pytest.raises(SchemaError, match=f"cap of {MAX_K_N}"):
+        KAuto.from_json({"n": MAX_K_N + 1, "matrix": []})
+
+
 def test_check_order_is_the_determinant():
     assert check_order(Mat2(-1, 0, -2, -1), 2)
     assert not check_order(Mat2(0, 1, 1, 0), 2)
@@ -227,6 +270,13 @@ def test_cyclic_oracle_on_reflections_and_rotations():
     assert order_preserved_brute_force(-Mat2.identity(), 1, 8)
     assert not order_preserved_brute_force(Mat2(0, 1, 1, 0), 1, 8)
     assert not order_preserved_brute_force(Mat2(1, 0, 0, -1), 1, 8)
+
+
+@pytest.mark.parametrize("box", range(2, 11))
+def test_cyclic_oracle_pins_across_boxes(box):
+    assert not order_preserved_brute_force(Mat2(0, 1, 1, 0), 1, box)
+    assert not order_preserved_brute_force(Mat2(1, 0, 0, -1), 1, box)
+    assert order_preserved_brute_force(-Mat2.identity(), 1, box)
 
 
 def test_cyclic_oracle_handles_negated_representatives():
