@@ -1,7 +1,7 @@
 """Exact stability computations for cycle-of-lines curves.
 
-Everything is integer or rational arithmetic; there is no floating
-point anywhere in the library.  The modules layer bottom-up:
+Everything is integer arithmetic (a slope is a pair of integers); there
+is no floating point anywhere in the library.  The modules layer bottom-up:
 
 - ``charges``: numerical invariants, phase points, slopes.
 - ``gamma0``: 2x2 integer matrices, congruence level structure, cusp
@@ -13,6 +13,7 @@ point anywhere in the library.  The modules layer bottom-up:
   covering-map functors, and the semistability verdicts.
 - ``hn``: filtration slices, polygons, and slice membership.
 - ``moduli``: what the stable objects at a given phase look like.
+- ``schemas``: the decoders of outside input, and every cap on it.
 - ``cli``: the ``ngonstab`` entry point.
 """
 
@@ -54,7 +55,7 @@ from .gamma0 import (
 )
 from .hn import HNPolygon, HNResult, HNSlice, hn_of_object, hn_polygon, slice_membership
 from .moduli import ModuliDescription, classify, enumerate_rigid
-from .schemas import SchemaError
+from .schemas import SchemaError, object_from_json
 from .sheaves import (
     BandSheaf,
     ChainSheaf,
@@ -64,7 +65,6 @@ from .sheaves import (
     is_semistable,
     k_class,
     object_charge,
-    object_from_json,
     object_to_json,
     phase,
     pullback,

@@ -18,7 +18,6 @@ carry phases in (0, 1], their negatives carry (1, 2].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 
@@ -42,6 +41,12 @@ __all__ = [
 # A charge is the exact value of the central charge as a pair of integers
 # (re, im) = (-chi, rk_tot).
 ChargeVec = tuple[int, int]
+
+
+def is_int(x: object) -> bool:
+    """True for an integer value; JSON true and false decode to bool, a
+    subclass of int, and are refused."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def in_h_prime(c: ChargeVec) -> bool:
@@ -255,30 +260,6 @@ class Slope:
             num, den = -num, -den
         g = gcd(num, den)
         return cls(num // g, den // g)
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "Slope":
-        return cls(q.numerator, q.denominator)
-
-    def as_fraction(self) -> Fraction:
-        if self.is_infinite:
-            raise ValueError("infinite slope has no rational value")
-        return Fraction(self.num, self.den)
-
-    @classmethod
-    def parse(cls, text: str) -> "Slope":
-        from .schemas import SchemaError
-
-        text = text.strip()
-        if text in ("inf", "oo"):
-            return cls.infinity()
-        try:
-            if "/" in text:
-                p, q = text.split("/", 1)
-                return cls.of(int(p), int(q))
-            return cls.of(int(text), 1)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(f"not a slope: {text!r}") from None
 
     def __str__(self) -> str:
         if self.is_infinite:

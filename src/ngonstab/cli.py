@@ -2,13 +2,11 @@
 
 JSON is the single interchange format and the default output; `--format
 table` renders the same payload as flat key/value lines for reading,
-never for parsing back.  Exit codes: 0 success, 1 a computation
-rejected its input (domain error), 2 malformed input (bad JSON, bad
-schema, bad arguments).  `--oracle` additionally runs the relevant
-brute-force cross-check and reports both answers; `--box` sets the
-lattice radius those searches use (at most MAX_BOX) and `--seed` feeds
-the sampled ones.  A level is at most sheaves.MAX_N, and at most
-compat.MAX_K_N where it sizes a K-matrix (`lift`).
+never for parsing back.  `--oracle`, on the four verbs that have a
+brute-force cross-check, runs it and reports both answers; `--box` sets
+the lattice radius of the `check-compat` oracles and `--seed` feeds the
+sampled one.  Input is decoded and capped in `schemas`, whose docstring
+states the exit codes.
 """
 
 from __future__ import annotations
@@ -17,10 +15,9 @@ import argparse
 import json
 import sys
 
-from .charges import Slope, slope_to_phase
+from . import schemas
+from .charges import slope_to_phase
 from .compat import (
-    MAX_K_N,
-    KAuto,
     check_compatibility,
     conjugate_by_D,
     lift_k_matrix,
@@ -28,18 +25,17 @@ from .compat import (
     sampled_pairwise_order,
 )
 from .gamma0 import (
-    Mat2,
     brute_force_cusp_partition,
     class_count,
     cusp_canonicalize,
+    cusp_class,
     enumerate_cusp_classes,
     restrict_partition_to_small_slopes,
 )
 from .hn import brute_force_polygon, hn_of_object, hn_polygon
 from .moduli import classify, enumerate_rigid
-from .schemas import SchemaError
+from .schemas import check_cap
 from .sheaves import (
-    MAX_N,
     BandSheaf,
     ChainSheaf,
     brute_force_band_verdict,
@@ -47,16 +43,11 @@ from .sheaves import (
     is_semistable,
     k_class,
     object_charge,
-    object_from_json,
     phase,
     summand_to_json,
 )
 
 __all__ = ["main", "run"]
-
-# One box oracle call visits (2 * box + 1)^2 lattice points, about 160k
-# at the cap; larger radii are refused before anything is allocated.
-MAX_BOX = 200
 
 
 def _load_json(path: str):
@@ -64,21 +55,16 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer")
-    return n
-
-
 def _capped(cap: int, what: str):
     """Argparse type for a positive integer that is refused above cap."""
 
     def parse(text: str) -> int:
-        value = _positive_int(text)
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError("expected a positive integer")
         if value > cap:
             raise argparse.ArgumentTypeError(f"{what} above the cap of {cap}")
         return value
@@ -86,35 +72,72 @@ def _capped(cap: int, what: str):
     return parse
 
 
-_box_radius = _capped(MAX_BOX, "box radius")
-_level = _capped(MAX_N, "level")
-_lift_level = _capped(MAX_K_N, "level")
+# The verb table: verb -> (handler, help, argument parsers), each argument
+# a parser of its own, built once and shared through parents=.
+_VERBS: dict[str, tuple] = {}
 
 
+def _verb(name: str, help_text: str, *arguments):
+    def enter(func):
+        _VERBS[name] = (func, help_text, arguments)
+        return func
+
+    return enter
+
+
+def _argument(name: str, **options) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument(name, **options)
+    return parser
+
+
+_FORMAT = _argument("--format", choices=("json", "table"), default="json")
+_LEVEL = _argument("n", type=_capped(schemas.MAX_N, "level"))
+_SLOPE = _argument("--slope", required=True, help="p/q, an integer, or inf")
+_OBJECT = _argument("file", help="sheaf object JSON file")
+_ORACLE = _argument("--oracle", action="store_true", help="also run the oracle")
+_BOX = _argument("--box", type=_capped(schemas.MAX_BOX, "box radius"), default=25)
+_SEED = _argument("--seed", type=int, default=0, help="seed for the sampled oracle")
+_KMATRIX = _argument("file", help="K-matrix JSON file")
+_K_LEVEL = _argument("n", type=_capped(schemas.MAX_K_N, "level"))
+_MATRIX = _argument("file", help="2x2 matrix JSON file")
+
+
+@_verb("phase-classes", "count phase classes at a level", _LEVEL, _ORACLE)
 def _cmd_phase_classes(args):
     count = class_count(args.n)
     if not args.oracle:
         return count
+    check_cap(args.n, schemas.MAX_ORACLE_LEVEL, "oracle level")
     uf = brute_force_cusp_partition(args.n)
     orbits = len(set(restrict_partition_to_small_slopes(args.n, uf).values()))
     return {"closed_form": count, "brute_force": orbits}
 
 
+@_verb("cusps", "list canonical cusp classes", _LEVEL)
 def _cmd_cusps(args):
     return [cls.to_json() for cls in enumerate_cusp_classes(args.n)]
 
 
+@_verb("reduce", "canonicalize a slope with a witness", _LEVEL, _SLOPE)
 def _cmd_reduce(args):
-    cls, witness = cusp_canonicalize(args.n, Slope.parse(args.slope))
+    cls, witness = cusp_canonicalize(args.n, schemas.parse_slope(args.slope))
     return {"class": cls.to_json(), "witness": witness.to_json()}
 
 
+# classify and rigid print n rigid chains of length s
+@_verb("classify", "describe the stable moduli at a phase", _LEVEL, _SLOPE)
 def _cmd_classify(args):
-    return classify(args.n, slope_to_phase(Slope.parse(args.slope))).to_json()
+    slope = schemas.parse_slope(args.slope)
+    s = cusp_class(args.n, slope).c
+    check_cap(args.n * s, schemas.MAX_RIGID_DEGREES, "n*s")
+    return classify(args.n, slope_to_phase(slope)).to_json()
 
 
+@_verb("rigid", "the isolated stable chains at a phase class", _LEVEL, _SLOPE)
 def _cmd_rigid(args):
-    cls, _ = cusp_canonicalize(args.n, Slope.parse(args.slope))
+    cls, _ = cusp_canonicalize(args.n, schemas.parse_slope(args.slope))
+    check_cap(args.n * cls.c, schemas.MAX_RIGID_DEGREES, "n*s")
     points = enumerate_rigid(args.n, cls.a, cls.c)
     return {
         "n": args.n,
@@ -123,8 +146,11 @@ def _cmd_rigid(args):
     }
 
 
+@_verb(
+    "check-compat", "run the compatibility criterion", _KMATRIX, _ORACLE, _BOX, _SEED
+)
 def _cmd_check_compat(args):
-    auto = KAuto.from_json(_load_json(args.file))
+    auto = schemas.kauto_from_json(_load_json(args.file))
     report = check_compatibility(auto)
     payload = report.to_json()
     if args.oracle and report.descended is not None and report.det_plus_one:
@@ -139,13 +165,17 @@ def _cmd_check_compat(args):
     return payload
 
 
+@_verb("lift", "lift a 2x2 level matrix to a K-matrix", _K_LEVEL, _MATRIX)
 def _cmd_lift(args):
-    matrix = Mat2.from_json(_load_json(args.file))
+    matrix = schemas.mat2_from_json(_load_json(args.file))
     return lift_k_matrix(args.n, matrix).to_json()
 
 
+@_verb("hn", "filtration slices and polygon", _OBJECT, _ORACLE)
 def _cmd_hn(args):
-    obj = object_from_json(_load_json(args.file))
+    obj = schemas.object_from_json(_load_json(args.file))
+    if args.oracle:
+        check_cap(len(obj.summands), schemas.MAX_ORACLE_SUMMANDS, "oracle summands")
     result = hn_of_object(obj)
     payload = result.to_json()
     polygon = hn_polygon([s.total_charge for s in result.slices])
@@ -156,8 +186,9 @@ def _cmd_hn(args):
     return payload
 
 
+@_verb("charge", "K-class, charge and phase", _OBJECT)
 def _cmd_charge(args):
-    obj = object_from_json(_load_json(args.file))
+    obj = schemas.object_from_json(_load_json(args.file))
     return {
         "k_class": k_class(obj).to_json(),
         "charge": list(object_charge(obj)),
@@ -166,17 +197,19 @@ def _cmd_charge(args):
 
 
 def _oracle_verdict(part):
+    # null where the literal search would run too long
     if isinstance(part, ChainSheaf):
-        return brute_force_chain_verdict(part)
+        small = part.k <= schemas.MAX_ORACLE_CHAIN
+        return brute_force_chain_verdict(part) if small else None
     if isinstance(part, BandSheaf):
-        if part.n * part.r <= 6:
-            return brute_force_band_verdict(part)
-        return None  # the literal search is exponential in the cycle length
+        small = part.n * part.r <= schemas.MAX_ORACLE_BAND
+        return brute_force_band_verdict(part) if small else None
     return is_semistable(part)
 
 
+@_verb("semistable", "stability verdict per summand", _OBJECT, _ORACLE)
 def _cmd_semistable(args):
-    obj = object_from_json(_load_json(args.file))
+    obj = schemas.object_from_json(_load_json(args.file))
     rows = []
     for idx, part in enumerate(obj.summands):
         row = {
@@ -195,82 +228,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ngonstab",
         description="Exact computations for stability on cycle-of-lines curves.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "table"), default="json", help="output format"
-    )
-    common.add_argument(
-        "--box",
-        type=_box_radius,
-        default=25,
-        help=f"brute-force lattice radius, at most {MAX_BOX}",
-    )
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled oracles")
-    common.add_argument(
-        "--oracle",
-        action="store_true",
-        help="also run the brute-force cross-check and report both answers",
-    )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser(
-        "phase-classes", parents=[common], help="count phase classes at a level"
-    )
-    p.add_argument("n", type=_level)
-    p.set_defaults(func=_cmd_phase_classes)
-
-    p = sub.add_parser("cusps", parents=[common], help="list canonical cusp classes")
-    p.add_argument("n", type=_level)
-    p.set_defaults(func=_cmd_cusps)
-
-    p = sub.add_parser(
-        "reduce", parents=[common], help="canonicalize a slope with a witness"
-    )
-    p.add_argument("n", type=_level)
-    p.add_argument("--slope", required=True, help="p/q, an integer, or inf")
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser(
-        "classify", parents=[common], help="describe the stable moduli at a phase"
-    )
-    p.add_argument("n", type=_level)
-    p.add_argument("--slope", required=True, help="p/q, an integer, or inf")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser(
-        "rigid", parents=[common], help="the isolated stable chains at a phase class"
-    )
-    p.add_argument("n", type=_level)
-    p.add_argument("--slope", required=True, help="p/q, an integer, or inf")
-    p.set_defaults(func=_cmd_rigid)
-
-    p = sub.add_parser(
-        "check-compat", parents=[common], help="run the compatibility criterion"
-    )
-    p.add_argument("file", help="K-matrix JSON file")
-    p.set_defaults(func=_cmd_check_compat)
-
-    p = sub.add_parser(
-        "lift", parents=[common], help="lift a 2x2 level matrix to a K-matrix"
-    )
-    p.add_argument("n", type=_lift_level)
-    p.add_argument("file", help="2x2 matrix JSON file")
-    p.set_defaults(func=_cmd_lift)
-
-    p = sub.add_parser("hn", parents=[common], help="filtration slices and polygon")
-    p.add_argument("file", help="sheaf object JSON file")
-    p.set_defaults(func=_cmd_hn)
-
-    p = sub.add_parser("charge", parents=[common], help="K-class, charge and phase")
-    p.add_argument("file", help="sheaf object JSON file")
-    p.set_defaults(func=_cmd_charge)
-
-    p = sub.add_parser(
-        "semistable", parents=[common], help="stability verdict per summand"
-    )
-    p.add_argument("file", help="sheaf object JSON file")
-    p.set_defaults(func=_cmd_semistable)
-
+    for verb, (func, help_text, arguments) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text, parents=[_FORMAT, *arguments])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -306,15 +267,11 @@ def run(argv=None) -> tuple[int, str]:
         return (int(exc.code) if exc.code else 0), ""
     try:
         payload = args.func(args)
-    except SchemaError as exc:
+    except (schemas.SchemaError, OSError) as exc:
         return 2, f"error: {exc}\n"
     except json.JSONDecodeError as exc:
-        return (
-            2,
-            f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}\n",
-        )
-    except OSError as exc:
-        return 2, f"error: {exc}\n"
+        where = f"line {exc.lineno}, column {exc.colno}"
+        return 2, f"error: malformed JSON at {where}: {exc.msg}\n"
     except ValueError as exc:
         return 1, f"error: {exc}\n"
     if args.format == "table":

@@ -34,13 +34,13 @@ from .charges import (
     KClass,
     PhasePoint,
     in_h_prime,
+    is_int,
     phase_cmp,
     phase_of_charge,
     phase_sort_key,
     primitive,
 )
 from .gamma0 import Mat2, in_gamma0
-from .schemas import SchemaError, is_int
 
 __all__ = [
     "KAuto",
@@ -63,11 +63,6 @@ __all__ = [
 ]
 
 IntMatrix = tuple[tuple[int, ...], ...]
-
-# A decoded K-matrix, and a lift on the command line, has n + 1 <= 201
-# rows: building and checking one is cubic in n (about 0.8 s at the cap
-# on a 2-CPU x86-64 host), so larger n is refused before any of it runs.
-MAX_K_N = 200
 
 
 def _as_int_matrix(rows: object, size: int) -> IntMatrix:
@@ -191,30 +186,6 @@ class KAuto:
             "matrix": [list(row) for row in self.matrix],
             "amplitude_M": self.amplitude_certificate,
         }
-
-    @classmethod
-    def from_json(cls, obj: object) -> "KAuto":
-        if not isinstance(obj, dict):
-            raise SchemaError("expected an object with n, matrix, amplitude_M")
-        for key in ("n", "matrix"):
-            if key not in obj:
-                raise SchemaError(f"missing field {key!r}")
-        n = obj["n"]
-        if not is_int(n) or n < 1:
-            raise SchemaError("n must be a positive integer")
-        if n > MAX_K_N:
-            raise SchemaError(f"n above the cap of {MAX_K_N}")
-        cert = obj.get("amplitude_M")
-        if cert is not None and not is_int(cert):
-            raise SchemaError("amplitude_M must be an integer or null")
-        try:
-            matrix = _as_int_matrix(obj["matrix"], n + 1)
-        except ValueError as e:
-            raise SchemaError(str(e)) from None
-        try:
-            return cls(n, matrix, cert)
-        except ValueError as e:
-            raise SchemaError(str(e)) from None
 
 
 def apply_kauto(A: KAuto, k: KClass) -> KClass:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .charges import Slope
-from .schemas import SchemaError, is_int
 
 __all__ = [
     "Mat2",
@@ -122,21 +121,6 @@ class Mat2:
 
     def to_json(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]
-
-    @classmethod
-    def from_json(cls, obj: object) -> "Mat2":
-        if (
-            not isinstance(obj, list)
-            or len(obj) != 2
-            or any(
-                not isinstance(row, list)
-                or len(row) != 2
-                or not all(is_int(x) for x in row)
-                for row in obj
-            )
-        ):
-            raise SchemaError("matrix must be [[a, b], [c, d]] with integer entries")
-        return cls(obj[0][0], obj[0][1], obj[1][0], obj[1][1])
 
 
 def in_gamma0(M: Mat2, N: int) -> bool:

@@ -1,22 +1,223 @@
-"""Shared input validation for the JSON interfaces: the error type and
-the integer predicate every decoder uses.
+"""The input boundary: every decoder of outside input and every cap.
 
-SchemaError deliberately does not subclass ValueError: the command line
-maps schema problems (malformed input, exit code 2) and domain problems
-(valid input that violates a mathematical precondition, exit code 1) to
-different exit codes, so the two exception families must stay disjoint.
+Outside input reaches the library only through this module: JSON files
+decode into 2x2 matrices, K-matrices and sheaf objects, command-line
+text into slopes and gluing labels, and every size an input asks for is
+checked against a cap below before anything of that size is built.  The
+library modules never import this one; they raise ValueError.
+
+Exit codes of the command line: 0 on success; 1 for a domain error,
+well-formed input asking for something impossible (the library raised
+ValueError, say for an unstable summand to filter or a matrix outside
+the level); 2 for malformed input: bad arguments, an unreadable file,
+bad JSON, a value of the wrong shape or type (JSON true and false are
+never integers), or a size above a cap, whose message names the cap.
+One domain condition also exits 2: a K-matrix that is not unimodular,
+since such a file describes no K-lattice automorphism at all.
+SchemaError does not subclass ValueError, so the two stay disjoint.
 """
 
 from __future__ import annotations
 
-__all__ = ["SchemaError"]
+from .charges import Slope, is_int
+from .compat import KAuto
+from .gamma0 import Mat2
+from .sheaves import (
+    BandSheaf,
+    ChainSheaf,
+    Label,
+    NodePoint,
+    SheafObject,
+    SmoothPoint,
+    TorsionSheaf,
+)
+
+__all__ = [
+    "SchemaError",
+    "check_cap",
+    "kauto_from_json",
+    "mat2_from_json",
+    "object_from_json",
+    "parse_label",
+    "parse_slope",
+]
+
+# A level, the n of a sheaf object and the covering cycle n*r of a band
+# count curve components; a K-class lists one rank per component.
+MAX_N = 10_000
+# A K-matrix has n + 1 rows; building and checking one is cubic in n
+# (about 0.8 s at the cap on a 2-CPU x86-64 host).
+MAX_K_N = 200
+# One box oracle call visits (2 * box + 1)^2 lattice points, about 160k
+# at the cap.
+MAX_BOX = 200
+# classify and rigid print n chains of s degrees each; n*s at the cap is
+# about 1 MB of JSON.
+MAX_RIGID_DEGREES = 100_000
+# The cusp partition oracle of phase-classes --oracle takes about 1 s at
+# this level.
+MAX_ORACLE_LEVEL = 150
+# semistable --oracle reports null above these: the chain oracle is cubic
+# in the chain length k (7 ms at the cap), the band oracle exponential in
+# the cycle length n*r.
+MAX_ORACLE_CHAIN = 100
+MAX_ORACLE_BAND = 6
+# hn --oracle builds every subset sum of the summand charges, the most
+# that hn.brute_force_polygon accepts.
+MAX_ORACLE_SUMMANDS = 16
 
 
 class SchemaError(Exception):
-    """Raised when a JSON value does not match the expected shape."""
+    """Raised when outside input is malformed or above a cap."""
 
 
-def is_int(x: object) -> bool:
-    """True for an integer value; JSON true and false decode to bool, a
-    subclass of int, and are refused."""
-    return isinstance(x, int) and not isinstance(x, bool)
+def check_cap(value: int, cap: int, what: str) -> int:
+    """The value, or SchemaError naming the cap when it is above it."""
+    if value > cap:
+        raise SchemaError(f"{what} above the cap of {cap}")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# JSON fields
+
+
+def _object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{what} must be a JSON object")
+    return value
+
+
+def _field(obj: dict, key: str, what: str):
+    try:
+        return obj[key]
+    except KeyError:
+        raise SchemaError(f"{what} missing field {key!r}") from None
+
+
+def _int(obj: dict, key: str, what: str) -> int:
+    value = _field(obj, key, what)
+    if not is_int(value):
+        raise SchemaError(f"{what} {key} must be an integer")
+    return value
+
+
+def _ints(obj: dict, key: str, what: str) -> tuple[int, ...]:
+    value = _field(obj, key, what)
+    if not isinstance(value, list) or not all(is_int(x) for x in value):
+        raise SchemaError(f"{what} {key} must be a list of integers")
+    return tuple(value)
+
+
+def _size(obj: dict, key: str, cap: int, what: str) -> int:
+    """A positive integer field, refused above cap."""
+    value = _int(obj, key, what)
+    if value < 1:
+        raise SchemaError(f"{key} must be positive")
+    return check_cap(value, cap, key)
+
+
+# ---------------------------------------------------------------------------
+# file decoders
+
+
+def mat2_from_json(obj: object) -> Mat2:
+    """[[a, b], [c, d]] with integer entries."""
+    if (
+        not isinstance(obj, list)
+        or len(obj) != 2
+        or not all(isinstance(row, list) and len(row) == 2 for row in obj)
+        or not all(is_int(x) for row in obj for x in row)
+    ):
+        raise SchemaError("matrix must be [[a, b], [c, d]] with integer entries")
+    (a, b), (c, d) = obj
+    return Mat2(a, b, c, d)
+
+
+def kauto_from_json(obj: object) -> KAuto:
+    """{"n": n, "matrix": n + 1 rows of n + 1 integers, "amplitude_M": int or null}."""
+    obj = _object(obj, "K-matrix")
+    n = _size(obj, "n", MAX_K_N, "K-matrix")
+    matrix = _field(obj, "matrix", "K-matrix")
+    try:
+        return KAuto(n, matrix, obj.get("amplitude_M"))
+    except ValueError as exc:
+        # the constructor checks the shape, the entries, the certificate
+        # and unimodularity; any of them failing makes the file malformed
+        raise SchemaError(str(exc)) from None
+
+
+def object_from_json(obj: object) -> SheafObject:
+    """{"n": n, "summands": [band, chain or torsion summand, ...]}."""
+    obj = _object(obj, "sheaf object")
+    n = _size(obj, "n", MAX_N, "sheaf object")
+    raw = _field(obj, "summands", "sheaf object")
+    if not isinstance(raw, list):
+        raise SchemaError("summands must be a list")
+    return SheafObject(tuple(_summand(n, x) for x in raw))
+
+
+def _summand(n: int, obj: object):
+    # Every shape check runs before the constructor, whose ValueError (a
+    # length that does not match, a size below 1) is a domain error.
+    obj = _object(obj, "summand")
+    kind = _field(obj, "type", "summand")
+    if kind == "band":
+        r = _int(obj, "r", "band")
+        multideg = _ints(obj, "multideg", "band")
+        lam = parse_label(_field(obj, "lambda", "band"))
+        m = _int(obj, "m", "band") if "m" in obj else 1
+        check_cap(n * r, MAX_N, "band n*r")  # the covering cycle is a curve too
+        return BandSheaf(n, r, multideg, lam, m)
+    if kind == "chain":
+        k, start = _int(obj, "k", "chain"), _int(obj, "start", "chain")
+        return ChainSheaf(n, k, start, _ints(obj, "multideg", "chain"))
+    if kind == "torsion":
+        where = _object(_field(obj, "position", "torsion"), "torsion position")
+        length = _int(obj, "length", "torsion")
+        place = _field(where, "kind", "position")
+        if place == "smooth":
+            label = _field(where, "label", "smooth position")
+            if not isinstance(label, str):
+                raise SchemaError("smooth position label must be a string")
+            point = SmoothPoint(_int(where, "component", "smooth position"), label)
+        elif place == "node":
+            point = NodePoint(_int(where, "index", "node position"))
+        else:
+            raise SchemaError(f"unknown position kind {place!r}")
+        return TorsionSheaf(n, point, length)
+    raise SchemaError(f"unknown summand type {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# text parsers
+
+
+def parse_slope(text: str) -> Slope:
+    """p/q, an integer, or inf (also oo)."""
+    text = text.strip()
+    if text in ("inf", "oo"):
+        return Slope.infinity()
+    num, slash, den = text.partition("/")
+    try:
+        return Slope.of(int(num), int(den) if slash else 1)
+    except ValueError:
+        raise SchemaError(f"not a slope: {text!r}") from None
+
+
+def parse_label(text: object) -> Label:
+    """Inverse of str(Label): '1', 'a', 'a^2*b^-1' and friends."""
+    if not isinstance(text, str):
+        raise SchemaError("label must be a string")
+    text = text.strip()
+    powers: dict[str, int] = {}
+    if text != "1":
+        for part in text.split("*"):
+            name, caret, exp = part.partition("^")
+            name = name.strip()
+            try:
+                Label.generator(name)  # refuses a bad symbol
+                powers[name] = powers.get(name, 0) + (int(exp) if caret else 1)
+            except ValueError:
+                raise SchemaError(f"bad label factor {part!r}") from None
+    return Label(tuple(sorted((s, e) for s, e in powers.items() if e)))

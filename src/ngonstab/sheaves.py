@@ -42,8 +42,7 @@ from itertools import accumulate, product
 from math import gcd
 from typing import Union
 
-from .charges import ChargeVec, KClass, PhasePoint, phase_of_charge
-from .schemas import SchemaError, is_int
+from .charges import ChargeVec, KClass, PhasePoint, is_int, phase_of_charge
 
 __all__ = [
     "STABLE",
@@ -74,9 +73,7 @@ __all__ = [
     "random_corpus",
     "random_object",
     "summand_to_json",
-    "summand_from_json",
     "object_to_json",
-    "object_from_json",
 ]
 
 STABLE = "Stable"
@@ -149,30 +146,6 @@ class Label:
             parts.append(sym if exp == 1 else f"{sym}^{exp}")
         return "*".join(parts)
 
-    @classmethod
-    def parse(cls, text: str) -> "Label":
-        """Inverse of str: '1', 'a', 'a^2*b^-1' and friends."""
-        if not isinstance(text, str):
-            raise SchemaError("label must be a string")
-        text = text.strip()
-        if text == "1":
-            return cls.identity()
-        acc: dict[str, int] = {}
-        for part in text.split("*"):
-            name, caret, exp_text = part.partition("^")
-            name = name.strip()
-            if not _is_symbol(name):
-                raise SchemaError(f"bad label symbol {name!r}")
-            try:
-                exp = int(exp_text) if caret else 1
-            except ValueError:
-                raise SchemaError(f"bad label exponent {exp_text!r}") from None
-            acc[name] = acc.get(name, 0) + exp
-        try:
-            return cls(tuple(sorted((s, e) for s, e in acc.items() if e != 0)))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
-
 
 def _is_symbol(s: object) -> bool:
     return (
@@ -228,8 +201,14 @@ def _int_tuple(value: object, what: str) -> tuple[int, ...]:
 
 def _rotated(seq: tuple[int, ...], by: int) -> tuple[int, ...]:
     # new[(i + by) % L] = old[i]
-    L = len(seq)
-    return tuple(seq[(i - by) % L] for i in range(L))
+    cut = -by % len(seq)
+    return seq[cut:] + seq[:cut]
+
+
+def _sheet_canonical(b: "BandSheaf") -> tuple[int, ...]:
+    """The least rotation of a band's degrees by whole sheets, the form
+    that equality, hashing and the summand order compare."""
+    return min(_rotated(b.multideg, b.n * t) for t in range(b.r))
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,8 +252,7 @@ class BandSheaf:
         return self.period == self.r
 
     def _key(self) -> tuple:
-        canonical = min(_rotated(self.multideg, self.n * t) for t in range(self.r))
-        return (self.n, self.r, self.m, self.lam, canonical)
+        return (self.n, self.r, self.m, self.lam, _sheet_canonical(self))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BandSheaf):
@@ -346,8 +324,7 @@ def _summand_sort_key(s: Summand) -> tuple:
         return (0, s.length, where)
     if isinstance(s, ChainSheaf):
         return (1, s.k, s.start, s.multideg)
-    canonical = min(_rotated(s.multideg, s.n * t) for t in range(s.r))
-    return (2, s.r, s.m, canonical, str(s.lam))
+    return (2, s.r, s.m, _sheet_canonical(s), str(s.lam))
 
 
 @dataclass(frozen=True)
@@ -836,11 +813,6 @@ def random_object(
 # ---------------------------------------------------------------------------
 # JSON
 
-# A decoded object lives on at most MAX_N components: its K-class holds one
-# rank per component, so a larger n is refused before anything is built.
-# Chain and band lengths need no cap, since the JSON lists bound them.
-MAX_N = 10_000
-
 
 def summand_to_json(s: Summand) -> dict:
     if isinstance(s, BandSheaf):
@@ -868,74 +840,5 @@ def summand_to_json(s: Summand) -> dict:
     raise TypeError(f"not a sheaf model: {type(s).__name__}")
 
 
-def _require(obj: dict, key: str, what: str):
-    try:
-        return obj[key]
-    except KeyError:
-        raise SchemaError(f"{what} missing field {key!r}") from None
-
-
-def summand_from_json(n: int, obj: object) -> Summand:
-    if not isinstance(obj, dict):
-        raise SchemaError("summand must be an object")
-    kind = _require(obj, "type", "summand")
-    if kind == "band":
-        r = _require(obj, "r", "band")
-        d = _require(obj, "multideg", "band")
-        lam = Label.parse(_require(obj, "lambda", "band"))
-        m = obj.get("m", 1)
-        if not is_int(r) or not is_int(m):
-            raise SchemaError("band r and m must be integers")
-        if not isinstance(d, list) or not all(is_int(x) for x in d):
-            raise SchemaError("band multideg must be a list of integers")
-        return BandSheaf(n, r, tuple(d), lam, m)
-    if kind == "chain":
-        k = _require(obj, "k", "chain")
-        start = _require(obj, "start", "chain")
-        d = _require(obj, "multideg", "chain")
-        if not is_int(k) or not is_int(start):
-            raise SchemaError("chain k and start must be integers")
-        if not isinstance(d, list) or not all(is_int(x) for x in d):
-            raise SchemaError("chain multideg must be a list of integers")
-        return ChainSheaf(n, k, start, tuple(d))
-    if kind == "torsion":
-        where = _require(obj, "position", "torsion")
-        length = _require(obj, "length", "torsion")
-        if not is_int(length):
-            raise SchemaError("torsion length must be an integer")
-        if not isinstance(where, dict):
-            raise SchemaError("torsion position must be an object")
-        pk = _require(where, "kind", "position")
-        if pk == "smooth":
-            comp = _require(where, "component", "smooth position")
-            label = _require(where, "label", "smooth position")
-            if not is_int(comp) or not isinstance(label, str):
-                raise SchemaError("smooth position needs integer component, string label")
-            return TorsionSheaf(n, SmoothPoint(comp, label), length)
-        if pk == "node":
-            idx = _require(where, "index", "node position")
-            if not is_int(idx):
-                raise SchemaError("node index must be an integer")
-            return TorsionSheaf(n, NodePoint(idx), length)
-        raise SchemaError(f"unknown position kind {pk!r}")
-    raise SchemaError(f"unknown summand type {kind!r}")
-
-
 def object_to_json(s: SheafObject) -> dict:
     return {"n": s.n, "summands": [summand_to_json(x) for x in s.summands]}
-
-
-def object_from_json(obj: object) -> SheafObject:
-    if not isinstance(obj, dict):
-        raise SchemaError("sheaf object must be a JSON object")
-    n = _require(obj, "n", "sheaf object")
-    raw = _require(obj, "summands", "sheaf object")
-    if not is_int(n):
-        raise SchemaError("n must be an integer")
-    if n < 1:
-        raise SchemaError("n must be positive")
-    if n > MAX_N:
-        raise SchemaError(f"n above the cap of {MAX_N}")
-    if not isinstance(raw, list):
-        raise SchemaError("summands must be a list")
-    return SheafObject(tuple(summand_from_json(n, x) for x in raw))

@@ -22,7 +22,7 @@ from ngonstab.charges import (
     slope_phase_convert,
     slope_to_phase,
 )
-from ngonstab.schemas import SchemaError
+from ngonstab.schemas import SchemaError, parse_slope
 
 
 def float_phase(c: tuple[int, int]) -> float:
@@ -245,16 +245,16 @@ def test_phase_sort_key_refuses_zero():
 
 
 def test_slope_parse_and_str():
-    assert Slope.parse("3/4") == Slope(3, 4)
-    assert Slope.parse(" -2 ") == Slope(-2, 1)
-    assert Slope.parse("6/4") == Slope(3, 2)
-    assert Slope.parse("inf") == Slope.infinity()
-    assert Slope.parse("oo").is_infinite
+    assert parse_slope("3/4") == Slope(3, 4)
+    assert parse_slope(" -2 ") == Slope(-2, 1)
+    assert parse_slope("6/4") == Slope(3, 2)
+    assert parse_slope("inf") == Slope.infinity()
+    assert parse_slope("oo").is_infinite
     assert str(Slope(-1, 3)) == "-1/3"
     assert str(Slope.infinity()) == "inf"
     for bad in ("abc", "1/2/3", "0/0", ""):
         with pytest.raises(SchemaError):
-            Slope.parse(bad)
+            parse_slope(bad)
 
 
 def test_slope_of_normalizes_sign():
@@ -267,16 +267,9 @@ def test_slope_of_normalizes_sign():
         Slope(2, 4)
 
 
-def test_slope_fraction_round_trip():
-    s = Slope(7, 12)
-    assert Slope.from_fraction(s.as_fraction()) == s
-    with pytest.raises(ValueError):
-        Slope.infinity().as_fraction()
-
-
 def test_slope_phase_round_trips():
     for text in ("0", "1", "-3/2", "5/7", "inf"):
-        s = Slope.parse(text)
+        s = parse_slope(text)
         assert slope_phase_convert(slope_to_phase(s)) == s
     # and the other way, on directions already inside H'
     for d in [(-1, 0), (0, 1), (-2, 3), (1, 4)]:

@@ -7,11 +7,19 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ngonstab
 from ngonstab.cli import main, run
-from ngonstab.compat import MAX_K_N
-from ngonstab.sheaves import MAX_N
+from ngonstab.moduli import enumerate_rigid
+from ngonstab.schemas import (
+    MAX_K_N,
+    MAX_N,
+    MAX_ORACLE_CHAIN,
+    MAX_ORACLE_LEVEL,
+    MAX_ORACLE_SUMMANDS,
+    MAX_RIGID_DEGREES,
+)
 
 HERE = pathlib.Path(__file__).parent
 DATA = HERE / "data"
@@ -275,6 +283,75 @@ def test_k_matrix_size_is_capped(tmp_path, capsys):
     assert f"n above the cap of {MAX_K_N}" in capsys.readouterr().err
 
 
+def test_oracle_level_is_capped(capsys):
+    # refused before the partition oracle runs; the closed form alone is cheap
+    assert main(["phase-classes", str(MAX_ORACLE_LEVEL + 1), "--oracle"]) == 2
+    assert f"oracle level above the cap of {MAX_ORACLE_LEVEL}" in capsys.readouterr().err
+    assert run(["phase-classes", str(MAX_N)])[0] == 0
+
+
+@pytest.mark.parametrize("verb", ["classify", "rigid"])
+def test_rigid_output_is_capped(verb, capsys):
+    # n = 317 at slope inf has s = n, so n*s = 100489 chain degrees to print
+    assert 317 * 317 > MAX_RIGID_DEGREES >= 316 * 316
+    before = enumerate_rigid.cache_info()
+    assert main([verb, "317", "--slope=inf"]) == 2
+    assert f"n*s above the cap of {MAX_RIGID_DEGREES}" in capsys.readouterr().err
+    # refused before the rigid chains are built
+    assert enumerate_rigid.cache_info() == before
+    # the level cap itself is fine where s is small
+    code, text = run([verb, str(MAX_N), "--slope=1/2"])
+    assert code == 0 and len(json.loads(text)["rigid_points"]) == MAX_N
+
+
+def test_hn_oracle_summands_are_capped(tmp_path, capsys):
+    point = {"type": "torsion", "position": NODE, "length": 1}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"n": 2, "summands": [point] * (MAX_ORACLE_SUMMANDS + 1)}))
+    assert run(["hn", str(path)])[0] == 0
+    assert main(["hn", str(path), "--oracle"]) == 2
+    assert f"above the cap of {MAX_ORACLE_SUMMANDS}" in capsys.readouterr().err
+
+
+def test_semistable_oracle_skips_long_chains(tmp_path):
+    def chain(k):
+        # degree zero on every line: chi = 1, stable for every k
+        return {"type": "chain", "k": k, "start": 0, "multideg": [0] * k}
+
+    path = tmp_path / "input.json"
+    doc = {"n": 3, "summands": [chain(MAX_ORACLE_CHAIN), chain(MAX_ORACLE_CHAIN + 1)]}
+    path.write_text(json.dumps(doc))
+    code, text = run(["semistable", str(path), "--oracle"])
+    assert code == 0
+    rows = json.loads(text)["verdicts"]
+    assert [r["verdict"] for r in rows] == ["Stable", "Stable"]
+    assert [r["oracle_verdict"] for r in rows] == ["Stable", None]
+
+
+def test_band_cycle_is_capped(tmp_path, capsys):
+    # the covering cycle of a band is n*r components: refused before its
+    # degrees are read, so the short list below is never checked
+    band = {"type": "band", "r": MAX_N // 2 + 1, "multideg": [0], "lambda": "1"}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"n": 2, "summands": [band]}))
+    assert main(["charge", str(path)]) == 2
+    assert f"band n*r above the cap of {MAX_N}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cusps", "4", "--oracle"],
+        ["reduce", "6", "--slope=1/2", "--box", "5"],
+        ["charge", data("chain_plus_point.json"), "--seed", "3"],
+        ["lift", "4", data("gamma0_4.json"), "--oracle"],
+    ],
+)
+def test_verbs_refuse_flags_they_do_not_honour(argv, capsys):
+    assert run(argv)[0] == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_bad_arguments_exit_two(capsys):
     assert run(["no-such-verb"])[0] == 2
     assert run(["phase-classes", "0"])[0] == 2
@@ -289,3 +366,102 @@ def test_main_writes_to_streams(capsys):
     assert main(["lift", "3", data("gamma0_4.json")]) == 1
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the whole boundary
+
+VERBS = ["phase-classes", "cusps", "reduce", "classify", "rigid", "check-compat",
+         "lift", "hn", "charge", "semistable"]
+FIXTURES = ["chain_plus_point.json", "gamma0_4.json", "iota3.json", "unstable_chain.json"]
+KEYS = ["n", "type", "k", "r", "m", "start", "multideg", "lambda", "length",
+        "position", "kind", "index", "component", "label", "summands", "matrix",
+        "amplitude_M"]
+
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers(-12, 12) | st.integers()
+    | st.floats(allow_nan=False) | st.sampled_from(["1", "a^2*b^-1", "node", "band", "x"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=2), inner, max_size=5),
+    max_leaves=16,
+)
+# argparse prints help and exits 0 on -h and on any prefix of --help
+tokens = st.sampled_from(
+    VERBS + ["--oracle", "--box", "--seed", "--slope", "--format", "json", "table",
+             "--slope=1/2", "1", "4", "6", "12", "0", "-3", "201", "10001", "7/10",
+             "inf", "x/y", "FILE"]
+) | st.text(max_size=4).filter(lambda t: not t.startswith(("-h", "--h")))
+
+
+def _mutated(data, doc):
+    """doc with one node replaced by a random tree or deleted."""
+    if isinstance(doc, (dict, list)) and doc and data.draw(st.booleans()):
+        keys = list(doc) if isinstance(doc, dict) else list(range(len(doc)))
+        key = data.draw(st.sampled_from(keys))
+        if isinstance(doc, dict) and data.draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = _mutated(data, doc[key])
+        return doc
+    return data.draw(json_trees)
+
+
+FIXTURE_RUNS = {
+    "chain_plus_point.json": [
+        ["charge", "FILE"], ["hn", "FILE", "--oracle"], ["semistable", "FILE", "--oracle"]
+    ],
+    "unstable_chain.json": [
+        ["charge", "FILE"], ["hn", "FILE"], ["semistable", "FILE", "--oracle"]
+    ],
+    "gamma0_4.json": [["lift", "4", "FILE"]],
+    "iota3.json": [["check-compat", "FILE", "--oracle", "--box", "4"]],
+}
+REPLACEMENTS = [None, True, -1, 0, 10**6, 2.5, "x", [], {}, [1, "x"]]
+
+
+def _one_node_changes(doc):
+    """Copies of doc with one node replaced by each value above, or deleted."""
+    yield from REPLACEMENTS
+    keys = doc if isinstance(doc, dict) else range(len(doc)) if isinstance(doc, list) else ()
+    for key in keys:
+        if isinstance(doc, dict):
+            yield {k: v for k, v in doc.items() if k != key}
+        for changed in _one_node_changes(doc[key]):
+            copy = json.loads(json.dumps(doc))
+            copy[key] = changed
+            yield copy
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_RUNS))
+def test_every_one_node_change_of_a_fixture_keeps_the_exit_codes(name, tmp_path):
+    path = tmp_path / name
+    for doc in _one_node_changes(json.loads((DATA / name).read_text())):
+        path.write_text(json.dumps(doc))
+        for template in FIXTURE_RUNS[name]:
+            argv = [str(path) if t == "FILE" else t for t in template]
+            code, text = run(argv)
+            assert code in (0, 1, 2), (doc, argv)
+            if code == 0:
+                json.loads(text)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_never_escapes_its_exit_codes(data, tmp_path_factory):
+    if data.draw(st.booleans()):
+        doc = json.loads((DATA / data.draw(st.sampled_from(FIXTURES))).read_text())
+        doc = _mutated(data, doc)
+    else:
+        doc = data.draw(json_trees)
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = [str(path) if t == "FILE" else t for t in data.draw(st.lists(tokens, max_size=6))]
+    if data.draw(st.booleans()):
+        # a well-formed verb line around the random input file
+        verb = data.draw(st.sampled_from(VERBS))
+        head = [verb, "4"] if verb in VERBS[:5] or verb == "lift" else [verb]
+        argv = head + ([str(path)] if verb in VERBS[5:] else ["--slope=1/2"]) + argv
+    code, text = run(argv)
+    assert code in (0, 1, 2)
+    if code == 0 and "table" not in argv:
+        json.loads(text)
