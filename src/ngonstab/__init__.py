@@ -11,7 +11,7 @@ is no floating point anywhere in the library.  The modules layer bottom-up:
   oracles.
 - ``sheaves``: the three summand families on a cycle of n lines,
   covering-map functors, and the semistability verdicts.
-- ``hn``: filtration slices, polygons, and slice membership.
+- ``hn``: filtration slices and polygons.
 - ``moduli``: what the stable objects at a given phase look like.
 - ``schemas``: the decoders of outside input, and every cap on it.
 - ``cli``: the ``ngonstab`` entry point.
@@ -53,7 +53,7 @@ from .gamma0 import (
     enumerate_cusp_classes,
     in_gamma0,
 )
-from .hn import HNPolygon, HNResult, HNSlice, hn_of_object, hn_polygon, slice_membership
+from .hn import HNPolygon, HNResult, HNSlice, hn_of_object, hn_polygon
 from .moduli import ModuliDescription, classify, enumerate_rigid
 from .schemas import SchemaError, object_from_json
 from .sheaves import (
@@ -65,7 +65,6 @@ from .sheaves import (
     is_semistable,
     k_class,
     object_charge,
-    object_to_json,
     phase,
     pullback,
     pushforward,
@@ -117,14 +116,12 @@ __all__ = [
     "lift_k_matrix",
     "object_charge",
     "object_from_json",
-    "object_to_json",
     "phase",
     "phase_of_charge",
     "primitive",
     "pullback",
     "pushforward",
     "shift_square_kauto",
-    "slice_membership",
     "slope_phase_convert",
     "slope_to_phase",
     "tensor_line",

@@ -27,7 +27,6 @@ __all__ = [
     "PhasePoint",
     "Slope",
     "charge",
-    "in_kernel",
     "phase_of_charge",
     "slope_phase_convert",
     "slope_to_phase",
@@ -106,10 +105,6 @@ class KClass:
 def charge(k: KClass) -> ChargeVec:
     """Central charge value (-chi, rk_tot) of a K-class."""
     return (-k.chi, k.rk_tot)
-
-
-def in_kernel(k: KClass) -> bool:
-    return k.chi == 0 and k.rk_tot == 0
 
 
 # Sector table for the (0, 2] window.  Walking counterclockwise from just

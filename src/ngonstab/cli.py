@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import schemas
-from .charges import slope_to_phase
+from .charges import charge, slope_to_phase
 from .compat import (
     check_compatibility,
     conjugate_by_D,
@@ -48,11 +48,6 @@ from .sheaves import (
 )
 
 __all__ = ["main", "run"]
-
-
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _capped(cap: int, what: str):
@@ -150,7 +145,7 @@ def _cmd_rigid(args):
     "check-compat", "run the compatibility criterion", _KMATRIX, _ORACLE, _BOX, _SEED
 )
 def _cmd_check_compat(args):
-    auto = schemas.kauto_from_json(_load_json(args.file))
+    auto = schemas.kauto_from_json(schemas.load_json(args.file))
     report = check_compatibility(auto)
     payload = report.to_json()
     if args.oracle and report.descended is not None and report.det_plus_one:
@@ -167,13 +162,13 @@ def _cmd_check_compat(args):
 
 @_verb("lift", "lift a 2x2 level matrix to a K-matrix", _K_LEVEL, _MATRIX)
 def _cmd_lift(args):
-    matrix = schemas.mat2_from_json(_load_json(args.file))
+    matrix = schemas.mat2_from_json(schemas.load_json(args.file))
     return lift_k_matrix(args.n, matrix).to_json()
 
 
 @_verb("hn", "filtration slices and polygon", _OBJECT, _ORACLE)
 def _cmd_hn(args):
-    obj = schemas.object_from_json(_load_json(args.file))
+    obj = schemas.object_from_json(schemas.load_json(args.file))
     if args.oracle:
         check_cap(len(obj.summands), schemas.MAX_ORACLE_SUMMANDS, "oracle summands")
     result = hn_of_object(obj)
@@ -188,10 +183,11 @@ def _cmd_hn(args):
 
 @_verb("charge", "K-class, charge and phase", _OBJECT)
 def _cmd_charge(args):
-    obj = schemas.object_from_json(_load_json(args.file))
+    obj = schemas.object_from_json(schemas.load_json(args.file))
+    k = k_class(obj)
     return {
-        "k_class": k_class(obj).to_json(),
-        "charge": list(object_charge(obj)),
+        "k_class": k.to_json(),
+        "charge": list(charge(k)),
         "phase": phase(obj).to_json(),
     }
 
@@ -209,7 +205,7 @@ def _oracle_verdict(part):
 
 @_verb("semistable", "stability verdict per summand", _OBJECT, _ORACLE)
 def _cmd_semistable(args):
-    obj = schemas.object_from_json(_load_json(args.file))
+    obj = schemas.object_from_json(schemas.load_json(args.file))
     rows = []
     for idx, part in enumerate(obj.summands):
         row = {
@@ -224,13 +220,18 @@ def _cmd_semistable(args):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: only full flag names, so a flag added to a verb
+    # cannot change what an abbreviation used to mean
     parser = argparse.ArgumentParser(
         prog="ngonstab",
         description="Exact computations for stability on cycle-of-lines curves.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, (func, help_text, arguments) in _VERBS.items():
-        p = sub.add_parser(verb, help=help_text, parents=[_FORMAT, *arguments])
+        p = sub.add_parser(
+            verb, help=help_text, parents=[_FORMAT, *arguments], allow_abbrev=False
+        )
         p.set_defaults(func=func)
     return parser
 
@@ -267,11 +268,8 @@ def run(argv=None) -> tuple[int, str]:
         return (int(exc.code) if exc.code else 0), ""
     try:
         payload = args.func(args)
-    except (schemas.SchemaError, OSError) as exc:
+    except schemas.SchemaError as exc:
         return 2, f"error: {exc}\n"
-    except json.JSONDecodeError as exc:
-        where = f"line {exc.lineno}, column {exc.colno}"
-        return 2, f"error: malformed JSON at {where}: {exc.msg}\n"
     except ValueError as exc:
         return 1, f"error: {exc}\n"
     if args.format == "table":

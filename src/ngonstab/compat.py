@@ -31,7 +31,6 @@ from math import gcd
 
 from .charges import (
     ChargeVec,
-    KClass,
     PhasePoint,
     in_h_prime,
     is_int,
@@ -45,7 +44,6 @@ from .gamma0 import Mat2, in_gamma0
 __all__ = [
     "KAuto",
     "CompatReport",
-    "apply_kauto",
     "check_kernel",
     "conjugate_by_D",
     "check_order",
@@ -188,15 +186,6 @@ class KAuto:
         }
 
 
-def apply_kauto(A: KAuto, k: KClass) -> KClass:
-    """Image of a K-class; coordinates are (chi, rank_1, ..., rank_n)."""
-    if k.n != A.n:
-        raise ValueError("K-class and automorphism live on different n-gons")
-    x = (k.chi,) + k.ranks
-    y = [sum(A.matrix[i][j] * x[j] for j in range(A.n + 1)) for i in range(A.n + 1)]
-    return KClass(A.n, y[0], tuple(y[1:]))
-
-
 def check_kernel(A: KAuto) -> bool:
     """True iff A maps the charge kernel {chi = 0, sum of ranks = 0} into itself.
 
@@ -320,44 +309,24 @@ def check_compatibility(A: KAuto) -> CompatReport:
     return CompatReport(True, raw, True, True, m, "Compatible-by-criterion")
 
 
-def lift_k_matrix(
-    n: int, M: Mat2, kernel_action: IntMatrix | None = None
-) -> KAuto:
+def lift_k_matrix(n: int, M: Mat2) -> KAuto:
     """Lift a level-n matrix to a K-lattice automorphism descending to it.
 
     The lift fixes images on the charge part, A(e_0) = a e_0 + c e_1
-    and A(e_1) = b e_0 + d e_1, and extends by the prescribed kernel
-    action in the basis {b_i = e_i - e_{i+1}}: A(e_i) = A(e_1) +
-    W(e_i - e_1) for i >= 2.  The result is unimodular with determinant
-    det(M) * det(W); both postconditions (kernel preserved, descends to
-    M) are asserted before returning.  The default amplitude certificate
-    is 1, matching the one-dimensional fibers of the kernels these
-    matrices come from.
+    and A(e_1) = b e_0 + d e_1, and acts trivially on the charge kernel:
+    A(e_i) = A(e_1) - e_1 + e_i for i >= 2.  So the matrix is two rows
+    over identity rows, with determinant det(M) = 1; both postconditions
+    (kernel preserved, descends to M) are asserted before returning.
+    Other kernel actions come from composing with a kernel automorphism.
+    The amplitude certificate is 1, matching the one-dimensional fibers
+    of the kernels these matrices come from.
     """
     if not in_gamma0(M, n):
         raise ValueError("only determinant-one matrices with lower-left "
                          "divisible by n lift at level n")
-    size = n + 1
-    if kernel_action is None:
-        W = _mat_identity(n - 1)
-    else:
-        W = _as_int_matrix(kernel_action, n - 1)
-        if n > 1 and abs(_mat_det(W)) != 1:
-            raise ValueError("kernel action must be unimodular")
-    cols: list[list[int]] = []
-    cols.append([M.a, M.c] + [0] * (n - 1))
-    cols.append([M.b, M.d] + [0] * (n - 1))
-    for i in range(2, n + 1):
-        # e_i - e_1 = -(b_1 + ... + b_{i-1}) in the kernel basis
-        w_coords = [-sum(W[t][s] for s in range(i - 1)) for t in range(n - 1)]
-        col = list(cols[1])
-        for t, coeff in enumerate(w_coords, start=1):
-            # b_t = e_t - e_{t+1}
-            col[t] += coeff
-            col[t + 1] -= coeff
-        cols.append(col)
-    matrix = tuple(tuple(cols[j][i] for j in range(size)) for i in range(size))
-    A = KAuto(n, matrix, amplitude_certificate=1)
+    top = (M.a,) + (M.b,) * n
+    second = (M.c, M.d) + (M.d - 1,) * (n - 1)
+    A = KAuto(n, (top, second) + _mat_identity(n + 1)[2:], amplitude_certificate=1)
     assert check_kernel(A)
     assert _descend_matrix(A) == M
     return A

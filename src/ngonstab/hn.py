@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .charges import (
     ChargeVec,
     PhasePoint,
-    add_half_turns,
     compare_phase,
     in_h_prime,
     phase_of_charge,
@@ -38,7 +37,6 @@ __all__ = [
     "hn_of_object",
     "hn_polygon",
     "brute_force_polygon",
-    "slice_membership",
 ]
 
 
@@ -204,22 +202,3 @@ def brute_force_polygon(charges: list[ChargeVec]) -> HNPolygon:
         assert chain[0][0] == 0 and chain[0][1] > 0
         chain.insert(0, (0, 0))
     return HNPolygon(tuple((-y, x) for x, y in chain))
-
-
-def slice_membership(s: SheafObject, lo: PhasePoint, hi: PhasePoint) -> bool:
-    """True iff every HN phase of s lies in the half-open window (lo, hi].
-
-    The window may be at most one unit wide so that it can describe a
-    heart; wider requests are rejected.
-    """
-    if compare_phase(lo, hi) != "LT":
-        raise ValueError("window requires lo < hi")
-    if compare_phase(add_half_turns(hi, -1), lo) == "GT":
-        raise ValueError("window wider than one phase unit")
-    result = hn_of_object(s)
-    for sl in result.slices:
-        if compare_phase(lo, sl.phase) != "LT":
-            return False
-        if compare_phase(sl.phase, hi) == "GT":
-            return False
-    return True

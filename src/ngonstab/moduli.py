@@ -25,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import ClassVar
 
 from .charges import (
     ChargeVec,
     PhasePoint,
-    Slope,
     in_h_prime,
     slope_phase_convert,
 )
@@ -45,34 +45,14 @@ from .sheaves import (
 )
 
 __all__ = [
-    "GALOIS_NOTE",
     "ModuliDescription",
     "phase_representative",
     "classify",
     "enumerate_rigid",
     "stable_vb_construct",
-    "sym_power_note",
 ]
 
-GALOIS_NOTE = (
-    "Z/nZ acts transitively on rigid points; "
-    "factors through Gal(E_s → E_1) on E_s"
-)
-
 _SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
-_SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
-
-
-def sym_power_note(s: int, r: int) -> str:
-    """Display tag for the r-th symmetric power of the s-cycle curve."""
-    if r < 0:
-        raise ValueError("symmetric power needs a nonnegative exponent")
-    if r == 0:
-        return "point"
-    curve = "E" + str(s).translate(_SUB)
-    if r == 1:
-        return curve
-    return "Sym" + str(r).translate(_SUP) + f"({curve})"
 
 
 def phase_representative(n: int, a: PhasePoint) -> tuple[CuspClass, Mat2]:
@@ -151,45 +131,50 @@ class ModuliDescription:
 
     stable_charges holds the charge vectors, at the phase actually
     queried, of the positive-component bundles and of the rigid points.
-    All other fields depend only on the class of the phase.
+    All other fields depend only on the class of the phase, and the
+    properties are read off the representative r/s.
     """
 
     n: int
     phase: PhasePoint
     representative: CuspClass
     witness: Mat2
-    s: int
-    positive_component: str
-    rigid_count: int
     rigid_points: tuple[ChainSheaf, ...]
     stable_charges: tuple[ChargeVec, ChargeVec]
-    galois_note: str
-    torsion_class: bool
+
+    galois_note: ClassVar[str] = (
+        "Z/nZ acts transitively on rigid points; "
+        "factors through Gal(E_s → E_1) on E_s"
+    )
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.s < 1 or self.n % self.s != 0:
-            raise ValueError("s must be a positive divisor of n")
-        if self.s != self.representative.c:
-            raise ValueError("s must match the representative denominator")
-        if self.rigid_count != self.n or len(self.rigid_points) != self.n:
+        if len(self.rigid_points) != self.n:
             raise ValueError("expected one rigid point per component")
 
     @property
     def r(self) -> int:
         return self.representative.a
 
+    @property
+    def s(self) -> int:
+        return self.representative.c
+
+    @property
+    def positive_component(self) -> str:
+        """Display name of the s-cycle curve, E with subscript s."""
+        return "E" + str(self.s).translate(_SUB)
+
+    @property
+    def rigid_count(self) -> int:
+        return self.n
+
+    @property
+    def torsion_class(self) -> bool:
+        return self.s == self.n
+
     def class_payload(self) -> tuple:
         """The fields determined by the phase class alone."""
-        return (
-            self.n,
-            self.representative,
-            self.s,
-            self.positive_component,
-            self.rigid_count,
-            self.rigid_points,
-            self.galois_note,
-            self.torsion_class,
-        )
+        return (self.n, self.representative, self.rigid_points)
 
     def to_json(self) -> dict:
         vb, rigid = self.stable_charges
@@ -230,11 +215,6 @@ def classify(n: int, a: PhasePoint) -> ModuliDescription:
         phase=a,
         representative=cls,
         witness=witness,
-        s=s,
-        positive_component=sym_power_note(s, 1),
-        rigid_count=n,
         rigid_points=rigid,
         stable_charges=(vb_charge, rigid_charge),
-        galois_note=GALOIS_NOTE,
-        torsion_class=(s == n),
     )

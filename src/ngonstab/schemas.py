@@ -1,23 +1,27 @@
 """The input boundary: every decoder of outside input and every cap.
 
-Outside input reaches the library only through this module: JSON files
-decode into 2x2 matrices, K-matrices and sheaf objects, command-line
-text into slopes and gluing labels, and every size an input asks for is
-checked against a cap below before anything of that size is built.  The
-library modules never import this one; they raise ValueError.
+Outside input reaches the library only through this module: files are
+read as JSON here and decode into 2x2 matrices, K-matrices and sheaf
+objects, command-line text into slopes and gluing labels, and every
+size an input asks for is checked against a cap below before anything
+of that size is built.  The library modules never import this one; they
+raise ValueError.
 
 Exit codes of the command line: 0 on success; 1 for a domain error,
 well-formed input asking for something impossible (the library raised
 ValueError, say for an unstable summand to filter or a matrix outside
 the level); 2 for malformed input: bad arguments, an unreadable file,
-bad JSON, a value of the wrong shape or type (JSON true and false are
-never integers), or a size above a cap, whose message names the cap.
-One domain condition also exits 2: a K-matrix that is not unimodular,
-since such a file describes no K-lattice automorphism at all.
+bad JSON (malformed, not UTF-8 or nested too deeply), a value of the
+wrong shape or type (JSON true and false are never integers), or a size
+above a cap, whose message names the cap.  One domain condition also
+exits 2: a K-matrix that is not unimodular, since such a file describes
+no K-lattice automorphism at all.
 SchemaError does not subclass ValueError, so the two stay disjoint.
 """
 
 from __future__ import annotations
+
+import json
 
 from .charges import Slope, is_int
 from .compat import KAuto
@@ -36,6 +40,7 @@ __all__ = [
     "SchemaError",
     "check_cap",
     "kauto_from_json",
+    "load_json",
     "mat2_from_json",
     "object_from_json",
     "parse_label",
@@ -45,8 +50,9 @@ __all__ = [
 # A level, the n of a sheaf object and the covering cycle n*r of a band
 # count curve components; a K-class lists one rank per component.
 MAX_N = 10_000
-# A K-matrix has n + 1 rows; building and checking one is cubic in n
-# (about 0.8 s at the cap on a 2-CPU x86-64 host).
+# A K-matrix has n + 1 rows; a lift is built in O(n^2), but checking the
+# determinant of any K-matrix, lifted or decoded, is cubic in n (`lift`
+# takes about 0.65 s at the cap on a 2-CPU x86-64 host).
 MAX_K_N = 200
 # One box oracle call visits (2 * box + 1)^2 lattice points, about 160k
 # at the cap.
@@ -79,7 +85,21 @@ def check_cap(value: int, cap: int, what: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# JSON fields
+# JSON files and fields
+
+
+def load_json(path: str) -> object:
+    """The JSON document in a file; every read or parse failure is a SchemaError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(str(exc)) from None
+    except json.JSONDecodeError as exc:
+        where = f"line {exc.lineno}, column {exc.colno}"
+        raise SchemaError(f"malformed JSON at {where}: {exc.msg}") from None
+    except RecursionError:
+        raise SchemaError("JSON nested too deeply") from None
 
 
 def _object(value: object, what: str) -> dict:

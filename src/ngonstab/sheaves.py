@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import accumulate, product
 from math import gcd
 from typing import Union
@@ -73,7 +72,6 @@ __all__ = [
     "random_corpus",
     "random_object",
     "summand_to_json",
-    "object_to_json",
 ]
 
 STABLE = "Stable"
@@ -134,9 +132,6 @@ class Label:
         if k == 0:
             return Label.identity()
         return Label(tuple((sym, exp * k) for sym, exp in self.powers))
-
-    def inverse(self) -> "Label":
-        return self ** -1
 
     def __str__(self) -> str:
         if not self.powers:
@@ -246,10 +241,6 @@ class BandSheaf:
             if self.r % t == 0 and _rotated(self.multideg, self.n * t) == self.multideg:
                 return t
         raise AssertionError("rotation by r sheets is the identity")
-
-    @property
-    def is_indecomposable(self) -> bool:
-        return self.period == self.r
 
     def _key(self) -> tuple:
         return (self.n, self.r, self.m, self.lam, _sheet_canonical(self))
@@ -596,24 +587,24 @@ def _chain_interval_verdict(k: int, d: tuple[int, ...]) -> str:
 
 
 def _band_verdict(b: BandSheaf) -> str:
-    if b.m > 1:
-        # equal-slope self-extension: semistability passes through, stability never
-        core = _band_verdict(replace(b, m=1))
-        return UNSTABLE if core == UNSTABLE else SEMISTABLE
+    # Multiplicity m > 1 is an equal-slope self-extension, and a period
+    # q < r splits the band into r/q equal-slope bands on the nq-cycle,
+    # whose degrees are the first nq entries.  Either way semistability
+    # passes through and stability never does.
     q = b.period
-    if q < b.r:
-        # decomposes into r/q equal-slope bands on the shorter cycle
-        piece = BandSheaf(b.n, q, b.multideg[: b.n * q], b.lam, 1)
-        core = _band_verdict(piece)
-        return UNSTABLE if core == UNSTABLE else SEMISTABLE
-    N = b.n * b.r
-    if N == 1:
-        return STABLE
+    core = _cycle_verdict(b.multideg[: b.n * q])
+    return SEMISTABLE if core == STABLE and (b.m > 1 or q < b.r) else core
+
+
+def _cycle_verdict(d: tuple[int, ...]) -> str:
+    # An indecomposable multiplicity-one band on the N-cycle, N = len(d);
+    # N = 1 has no proper interval, and g = {0} reads Stable.
     # The interval of length ell starting at a has chi_sub = P[a+ell] - P[a] - 1,
     # so its excess chi_sub*N - chi*ell is g(a + ell) - g(a) - N, and each
     # ordered pair of distinct residues mod N is exactly one proper interval.
-    chi = sum(b.multideg)
-    g = set(accumulate((N * x - chi for x in b.multideg[:-1]), initial=0))
+    N = len(d)
+    chi = sum(d)
+    g = set(accumulate((N * x - chi for x in d[:-1]), initial=0))
     if max(g) - min(g) > N:
         return UNSTABLE
     return SEMISTABLE if any(v + N in g for v in g) else STABLE
@@ -838,7 +829,3 @@ def summand_to_json(s: Summand) -> dict:
             where = {"kind": "node", "index": pos.index}
         return {"type": "torsion", "position": where, "length": s.length}
     raise TypeError(f"not a sheaf model: {type(s).__name__}")
-
-
-def object_to_json(s: SheafObject) -> dict:
-    return {"n": s.n, "summands": [summand_to_json(x) for x in s.summands]}

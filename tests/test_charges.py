@@ -14,7 +14,6 @@ from ngonstab.charges import (
     charge,
     compare_phase,
     in_h_prime,
-    in_kernel,
     phase_cmp,
     phase_of_charge,
     phase_sort_key,
@@ -65,9 +64,8 @@ def test_kclass_charge_and_kernel():
     k = KClass(3, 2, (1, 0, -1))
     assert charge(k) == (-2, 0)
     assert k.rk_tot == 0
-    assert not in_kernel(k)  # chi != 0
-    assert in_kernel(KClass(3, 0, (1, -2, 1)))
-    assert not in_kernel(KClass(3, 0, (1, 0, 0)))
+    assert charge(KClass(3, 0, (1, -2, 1))) == (0, 0)
+    assert charge(KClass(3, 0, (1, 0, 0))) == (0, 1)
 
 
 def test_kclass_arithmetic():

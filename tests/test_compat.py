@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from ngonstab.charges import KClass, PhasePoint, add_half_turns
+from ngonstab.charges import PhasePoint, add_half_turns
 from ngonstab.compat import (
     CompatReport,
     KAuto,
-    apply_kauto,
     box_sup_phase,
     check_compatibility,
     check_kernel,
@@ -73,12 +72,10 @@ def test_kauto_json_round_trip():
 
 
 def test_apply_kauto_rotates_components():
+    # columns are images: e_0 fixed, e_1 -> e_2 -> e_3 -> e_1
     a = iota_kauto(3)
-    k = KClass(3, 2, (1, 0, 0))
-    assert apply_kauto(a, k) == KClass(3, 2, (0, 1, 0))
-    assert apply_kauto(a, apply_kauto(a, apply_kauto(a, k))) == k
-    with pytest.raises(ValueError):
-        apply_kauto(a, KClass(2, 0, (0, 0)))
+    assert a.matrix == ((1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0))
+    assert compose(a, compose(a, a)).matrix == identity_kauto(3).matrix
 
 
 def test_check_kernel():
@@ -167,6 +164,13 @@ def test_report_json():
 
 
 def test_lift_round_trip():
+    # A(e_i) = A(e_1) - e_1 + e_i for i >= 2: two rows over identity rows
+    assert lift_k_matrix(3, Mat2(2, 1, 3, 2)).matrix == (
+        (2, 1, 1, 1),
+        (3, 2, 1, 1),
+        (0, 0, 1, 0),
+        (0, 0, 0, 1),
+    )
     rng = random.Random(3)
     for n in (1, 2, 3, 4, 6, 8, 12):
         for _ in range(10):
@@ -184,15 +188,6 @@ def test_lift_rejections():
         lift_k_matrix(3, Mat2(1, 1, 2, 3))  # lower-left not divisible by 3
     with pytest.raises(ValueError):
         lift_k_matrix(1, Mat2(0, 1, 1, 0))  # det -1
-    with pytest.raises(ValueError):
-        lift_k_matrix(3, Mat2(1, 0, 3, 1), kernel_action=((1, 0), (0, 2)))
-
-
-def test_lift_custom_kernel_action():
-    perm = ((0, 1), (1, 0))
-    lifted = lift_k_matrix(3, Mat2(1, 0, 3, 1), kernel_action=perm)
-    assert check_kernel(lifted)
-    assert check_compatibility(lifted).descended == Mat2(1, 0, 3, 1)
 
 
 def test_compose_and_invert():

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+
+import ngonstab
 
 MODULES = [
     "ngonstab",
@@ -16,9 +20,53 @@ MODULES = [
     "ngonstab.cli",
 ]
 
+SRC = Path(ngonstab.__file__).parent
+ROOT = SRC.parent.parent
+# Public names that only tests reach, each with the reason it stays.
+UNREACHED = {
+    "exhaustive_chain_verdict": "literal oracle the chain verdict tests compare against",
+    "brute_force_witness_bfs": "literal oracle the canonicalization tests compare against",
+    "stable_vb_construct": "waits for its caller, the moduli oracle of ROADMAP item 3",
+}
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_export_resolves(name):
     module = importlib.import_module(name)
     missing = [x for x in module.__all__ if not hasattr(module, x)]
     assert missing == []
+
+
+def _uses(path: Path) -> list[tuple[str | None, set[str]]]:
+    """(name defined, names read) for each top-level statement of a file."""
+    out = []
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        defined = getattr(stmt, "name", None)  # a def or a class
+        used = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        out.append((defined, used))
+    return out
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """A name in a module's __all__ must be read by the library outside
+    its own definition (recursion is no caller), by the benchmark or by
+    the acceptance suite."""
+    outside = [*(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    uses = {path: _uses(path) for path in [*SRC.glob("*.py"), *outside]}
+    unreached = set()
+    for name in MODULES[1:]:
+        module = importlib.import_module(name)
+        home = SRC / f"{name.rsplit('.', 1)[-1]}.py"
+        for public in module.__all__:
+            if not any(
+                public in used and not (path == home and defined == public)
+                for path, stmts in uses.items()
+                for defined, used in stmts
+            ):
+                unreached.add(public)
+    assert unreached == set(UNREACHED)

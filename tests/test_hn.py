@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ngonstab.charges import PhasePoint
+from ngonstab.charges import PhasePoint, in_h_prime
 from ngonstab.hn import (
     HNPolygon,
     HNResult,
@@ -12,7 +12,6 @@ from ngonstab.hn import (
     brute_force_polygon,
     hn_of_object,
     hn_polygon,
-    slice_membership,
 )
 from ngonstab.sheaves import (
     ChainSheaf,
@@ -25,11 +24,6 @@ from ngonstab.sheaves import (
 )
 
 A = Label.generator("a")
-
-# the standard heart: sheaf phases live in (0, 1]
-HEART_LO = PhasePoint(-1, (1, 0))
-HEART_HI = PhasePoint(0, (-1, 0))
-
 
 def test_two_slice_filtration():
     obj = SheafObject(
@@ -153,36 +147,12 @@ def test_polygon_of_object_slices_matches_brute_force():
 
 
 # ---------------------------------------------------------------------------
-# windows
+# the standard heart: sheaf phases live in (0, 1]
 
 
 def test_sheaves_live_in_the_standard_heart():
     rng = random.Random(43)
     for _ in range(40):
         obj = random_object(rng, semistable_only=True)
-        assert slice_membership(obj, HEART_LO, HEART_HI)
-
-
-def test_slice_membership_boundaries():
-    torsion = SheafObject((TorsionSheaf(2, NodePoint(0), 1),))  # phase 1
-    assert slice_membership(torsion, HEART_LO, HEART_HI)
-    # phase 1 sits inside the shifted window (1/2, 3/2] ...
-    assert slice_membership(torsion, PhasePoint(0, (0, 1)), PhasePoint(0, (0, -1)))
-    # ... but the open low end of (1, 2] excludes it exactly
-    next_window_hi = PhasePoint(0, (1, 0))
-    assert not slice_membership(torsion, HEART_HI, next_window_hi)
-    bundle = SheafObject((ChainSheaf(2, 2, 0, (0, 0)),))  # phase below 1
-    assert not slice_membership(bundle, HEART_HI, next_window_hi)
-
-
-def test_slice_membership_window_validation():
-    with pytest.raises(ValueError):
-        slice_membership(
-            SheafObject((TorsionSheaf(1, NodePoint(0), 1),)), HEART_HI, HEART_LO
-        )
-    with pytest.raises(ValueError):
-        slice_membership(
-            SheafObject((TorsionSheaf(1, NodePoint(0), 1),)),
-            HEART_LO,
-            PhasePoint(1, (0, 1)),
-        )
+        for sl in hn_of_object(obj).slices:
+            assert sl.phase.two_shift == 0 and in_h_prime(sl.phase.dir)

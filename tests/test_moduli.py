@@ -9,12 +9,10 @@ import pytest
 from ngonstab.charges import PhasePoint, Slope, slope_to_phase
 from ngonstab.gamma0 import CuspClass, cusp_equivalent, in_gamma0
 from ngonstab.moduli import (
-    GALOIS_NOTE,
     classify,
     enumerate_rigid,
     phase_representative,
     stable_vb_construct,
-    sym_power_note,
 )
 from ngonstab.sheaves import (
     STABLE,
@@ -28,15 +26,6 @@ from ngonstab.sheaves import (
 )
 
 A = Label.generator("a")
-
-
-def test_sym_power_note():
-    assert sym_power_note(3, 0) == "point"
-    assert sym_power_note(3, 1) == "E₃"
-    assert sym_power_note(3, 2) == "Sym²(E₃)"
-    assert sym_power_note(12, 10) == "Sym¹⁰(E₁₂)"
-    with pytest.raises(ValueError):
-        sym_power_note(3, -1)
 
 
 def test_phase_representative_folds_into_window():
@@ -128,7 +117,10 @@ def test_classify_half_slope_on_hexagon():
     assert desc.positive_component == "E₂"
     assert desc.rigid_count == 6
     assert not desc.torsion_class
-    assert desc.galois_note == GALOIS_NOTE
+    assert desc.galois_note == (
+        "Z/nZ acts transitively on rigid points; "
+        "factors through Gal(E_s → E_1) on E_s"
+    )
 
 
 def test_classify_slope_zero_two_components():
@@ -145,6 +137,7 @@ def test_classify_torsion_class():
     desc = classify(4, slope_to_phase(Slope(1, 4)))
     assert desc.s == 4
     assert desc.torsion_class
+    assert classify(12, slope_to_phase(Slope(1, 12))).positive_component == "E₁₂"
     assert desc.stable_charges[0] == (-1, 4)
     # at the infinite slope the transported bundle charge is torsion-like
     inf = classify(2, PhasePoint(0, (-1, 0)))
