@@ -83,21 +83,6 @@ class KClass:
     def rk_tot(self) -> int:
         return sum(self.ranks)
 
-    def __add__(self, other: "KClass") -> "KClass":
-        if self.n != other.n:
-            raise ValueError("cannot add classes on different curves")
-        return KClass(
-            self.n,
-            self.chi + other.chi,
-            tuple(a + b for a, b in zip(self.ranks, other.ranks)),
-        )
-
-    def __neg__(self) -> "KClass":
-        return KClass(self.n, -self.chi, tuple(-a for a in self.ranks))
-
-    def __sub__(self, other: "KClass") -> "KClass":
-        return self + (-other)
-
     def to_json(self) -> dict:
         return {"n": self.n, "chi": self.chi, "ranks": list(self.ranks)}
 

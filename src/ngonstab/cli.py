@@ -33,7 +33,7 @@ from .gamma0 import (
     restrict_partition_to_small_slopes,
 )
 from .hn import brute_force_polygon, hn_of_object, hn_polygon
-from .moduli import classify, enumerate_rigid
+from .moduli import classify
 from .schemas import check_cap
 from .sheaves import (
     BandSheaf,
@@ -44,7 +44,6 @@ from .sheaves import (
     k_class,
     object_charge,
     phase,
-    summand_to_json,
 )
 
 __all__ = ["main", "run"]
@@ -131,14 +130,8 @@ def _cmd_classify(args):
 
 @_verb("rigid", "the isolated stable chains at a phase class", _LEVEL, _SLOPE)
 def _cmd_rigid(args):
-    cls, _ = cusp_canonicalize(args.n, schemas.parse_slope(args.slope))
-    check_cap(args.n * cls.c, schemas.MAX_RIGID_DEGREES, "n*s")
-    points = enumerate_rigid(args.n, cls.a, cls.c)
-    return {
-        "n": args.n,
-        "representative": cls.to_json(),
-        "rigid_points": [summand_to_json(c) for c in points],
-    }
+    payload = _cmd_classify(args)
+    return {key: payload[key] for key in ("n", "representative", "rigid_points")}
 
 
 @_verb(

@@ -298,19 +298,6 @@ def enumerate_cusp_classes(N: int) -> tuple[CuspClass, ...]:
 # brute-force oracles
 
 
-def _slope_key(num: int, den: int) -> tuple:
-    """T-orbit key of a slope: denominators and numerators mod denominator.
-
-    T shifts p by q and fixes q, and -I acts trivially on slopes, so
-    (q, p mod q) classifies slopes up to the parabolic subgroup.
-    """
-    if den == 0:
-        return ("inf",)
-    if den < 0:
-        num, den = -num, -den
-    return (den, num % den)
-
-
 class _UnionFind:
     def __init__(self) -> None:
         self.parent: dict = {}
@@ -332,12 +319,10 @@ class _UnionFind:
             self.parent[rx] = ry
 
 
-def _gamma0_edge_table(
-    N: int, kmax: int
-) -> dict[int, tuple[list[int], list[tuple[int, int]]]]:
+def _gamma0_edge_table(N: int) -> dict[int, tuple[list[int], list[tuple[int, int]]]]:
     """Verified level-N matrices for oracle edges, keyed by lower-left entry.
 
-    For each c in {N, 2N, ..., kmax*N} and each small d coprime to c,
+    For each c in {N, 2N, ..., 8N} and each small d coprime to c,
     the matrix [[a, b], [c, d]] with a the least positive inverse of d
     mod c and b forced by the determinant is a genuine member (asserted).
     Words in T and [[1,0],[N,1]] alone are congruent to +-[[1,*],[0,1]]
@@ -348,7 +333,7 @@ def _gamma0_edge_table(
     members act within a bounded denominator universe.
     """
     table: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
-    for m in range(1, kmax + 1):
+    for m in range(1, 9):
         c = N * m
         ds: list[int] = []
         rows: list[tuple[int, int]] = []
@@ -365,10 +350,10 @@ def _gamma0_edge_table(
     return table
 
 
-def brute_force_cusp_partition(N: int, slack: int = 2, kmax: int = 8) -> _UnionFind:
+def brute_force_cusp_partition(N: int) -> _UnionFind:
     """Orbit partition of bounded-denominator slopes under verified elements.
 
-    Nodes are T-classes (q, p mod q) with q <= slack*N plus one node for
+    Nodes are T-classes (q, p mod q) with q <= 2N plus one node for
     the infinite slope.  Each node's representatives p0 - q, p0, p0 + q
     are pushed through every matrix from _gamma0_edge_table whose image
     denominator stays under the bound (a bisect window on d since the
@@ -380,7 +365,7 @@ def brute_force_cusp_partition(N: int, slack: int = 2, kmax: int = 8) -> _UnionF
     """
     if N < 1:
         raise ValueError("level must be a positive integer")
-    bound = max(slack * N, N + 1)
+    bound = 2 * N
     uf = _UnionFind()
     uf.add(("inf",))
     for q in range(1, bound + 1):
@@ -388,7 +373,7 @@ def brute_force_cusp_partition(N: int, slack: int = 2, kmax: int = 8) -> _UnionF
             if gcd(p0, q) != 1:
                 continue
             uf.add((q, p0))
-    table = _gamma0_edge_table(N, kmax)
+    table = _gamma0_edge_table(N)
     for q in range(1, bound + 1):
         for p0 in range(q):
             if gcd(p0, q) != 1:
@@ -429,14 +414,12 @@ def restrict_partition_to_small_slopes(N: int, uf: _UnionFind) -> dict[Slope, ob
     return out
 
 
-def brute_force_witness_bfs(
-    N: int, s: Slope, max_depth: int = 12, state_cap: int = 50000
-) -> Mat2 | None:
+def brute_force_witness_bfs(N: int, s: Slope) -> Mat2 | None:
     """Breadth-first witness search over {T, T^-1, V, V^-1} to the canonical rep.
 
     Expansion order is fixed (the generator list below), which makes the
     found witness deterministic.  Returns None if the representative is
-    not reached within the depth and state caps.
+    not reached within 12 steps or 50,000 visited slopes.
     """
     target = cusp_class(N, s).slope
     gens = [
@@ -450,7 +433,7 @@ def brute_force_witness_bfs(
     seen = {start}
     if s == target:
         return Mat2.identity()
-    for _ in range(max_depth):
+    for _ in range(12):
         nxt: list[tuple[tuple[int, int], Mat2]] = []
         for (num, den), word in frontier:
             cur = Slope.of(num, den) if den != 0 else Slope.infinity()
@@ -460,7 +443,7 @@ def brute_force_witness_bfs(
                 if key in seen:
                     continue
                 seen.add(key)
-                if len(seen) > state_cap:
+                if len(seen) > 50_000:
                     return None
                 new_word = gen @ word
                 if image == target:

@@ -152,10 +152,6 @@ class ModuliDescription:
             raise ValueError("expected one rigid point per component")
 
     @property
-    def r(self) -> int:
-        return self.representative.a
-
-    @property
     def s(self) -> int:
         return self.representative.c
 

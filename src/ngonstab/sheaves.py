@@ -200,13 +200,28 @@ def _rotated(seq: tuple[int, ...], by: int) -> tuple[int, ...]:
     return seq[cut:] + seq[:cut]
 
 
-def _sheet_canonical(b: "BandSheaf") -> tuple[int, ...]:
-    """The least rotation of a band's degrees by whole sheets, the form
-    that equality, hashing and the summand order compare."""
-    return min(_rotated(b.multideg, b.n * t) for t in range(b.r))
+def _least_sheet_rotation(seq: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The least rotation of seq by whole sheets of n entries, in O(len(seq)).
+
+    Duval's minimal rotation over the sheets as letters: the inner loop
+    extends the current Lyndon word, and the outer one skips past every
+    start that a smaller rotation already beats.
+    """
+    r = len(seq) // n
+    sheets = [seq[t * n : t * n + n] for t in range(r)] * 2
+    i = best = 0
+    while i < r:
+        best = i
+        j, k = i + 1, i
+        while j < 2 * r and sheets[k] <= sheets[j]:
+            k = i if sheets[k] < sheets[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return seq[best * n :] + seq[: best * n]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BandSheaf:
     """Locally free summand: degree vector on the nr-cycle, label, multiplicity.
 
@@ -214,9 +229,10 @@ class BandSheaf:
     component t sits over component t mod n downstairs.  Two degree
     vectors that differ by rotating whole sheets (n positions at a time)
     describe the same pushforward, because the choice of first upstairs
-    component is bookkeeping; equality and hashing quotient by that
-    rotation.  The label is carried along unrotated since the model
-    attaches it to the band as a whole.
+    component is bookkeeping; the constructor stores the least such
+    rotation, so field equality is equality of sheaves.  The label is
+    carried along unrotated since the model attaches it to the band as a
+    whole.
     """
 
     n: int
@@ -231,6 +247,9 @@ class BandSheaf:
         object.__setattr__(self, "multideg", _int_tuple(self.multideg, "multideg"))
         if len(self.multideg) != self.n * self.r:
             raise ValueError("multideg must have length n*r")
+        object.__setattr__(
+            self, "multideg", _least_sheet_rotation(self.multideg, self.n)
+        )
         if not isinstance(self.lam, Label):
             raise ValueError("lam must be a Label")
 
@@ -241,17 +260,6 @@ class BandSheaf:
             if self.r % t == 0 and _rotated(self.multideg, self.n * t) == self.multideg:
                 return t
         raise AssertionError("rotation by r sheets is the identity")
-
-    def _key(self) -> tuple:
-        return (self.n, self.r, self.m, self.lam, _sheet_canonical(self))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BandSheaf):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -315,7 +323,7 @@ def _summand_sort_key(s: Summand) -> tuple:
         return (0, s.length, where)
     if isinstance(s, ChainSheaf):
         return (1, s.k, s.start, s.multideg)
-    return (2, s.r, s.m, _sheet_canonical(s), str(s.lam))
+    return (2, s.r, s.m, s.multideg, str(s.lam))
 
 
 @dataclass(frozen=True)
@@ -353,23 +361,23 @@ class SheafObject:
 
 
 def k_class(s: Union[Summand, SheafObject]) -> KClass:
-    """Class chi*e0 + sum(rank_i * e_i) of a summand or a direct sum."""
-    if isinstance(s, SheafObject):
-        total = k_class(s.summands[0])
-        for part in s.summands[1:]:
-            total = total + k_class(part)
-        return total
-    if isinstance(s, BandSheaf):
-        chi = s.m * sum(s.multideg)
-        return KClass(s.n, chi, (s.r * s.m,) * s.n)
-    if isinstance(s, ChainSheaf):
-        ranks = [0] * s.n
-        for t in range(s.k):
-            ranks[(s.start + t) % s.n] += 1
-        return KClass(s.n, 1 + sum(s.multideg), tuple(ranks))
-    if isinstance(s, TorsionSheaf):
-        return KClass(s.n, s.length, (0,) * s.n)
-    raise TypeError(f"not a sheaf model: {type(s).__name__}")
+    """Class chi*e0 + sum(rank_i * e_i) of a summand or a direct sum.
+
+    One pass in O(n + total chain length): a band adds r*m to every
+    component, a chain one to each component it passes through, and
+    torsion adds no rank.
+    """
+    chi = -object_charge(s)[0]
+    parts = s.summands if isinstance(s, SheafObject) else (s,)
+    ranks = [0] * s.n
+    everywhere = 0
+    for part in parts:
+        if isinstance(part, BandSheaf):
+            everywhere += part.r * part.m
+        elif isinstance(part, ChainSheaf):
+            for t in range(part.k):
+                ranks[(part.start + t) % part.n] += 1
+    return KClass(s.n, chi, tuple(x + everywhere for x in ranks))
 
 
 def object_charge(s: Union[Summand, SheafObject]) -> ChargeVec:
@@ -644,8 +652,9 @@ def brute_force_chain_verdict(c: ChainSheaf, extra_depth: int = 2) -> str:
     return SEMISTABLE if saw_equal else STABLE
 
 
-def exhaustive_chain_verdict(c: ChainSheaf, twist_depth: int = 2) -> str:
-    """Literal sub-multidegree enumeration; cost grows as (twist_depth+1)^k."""
+def exhaustive_chain_verdict(c: ChainSheaf) -> str:
+    """Literal sub-multidegree enumeration, down to two twists below each
+    restricted degree; cost grows as 3^k."""
     k, d = c.k, c.multideg
     total = 1 + sum(d)
     saw_equal = False
@@ -661,7 +670,7 @@ def exhaustive_chain_verdict(c: ChainSheaf, twist_depth: int = 2) -> str:
             if j < k - 1:
                 req[-1] += 1
             ranges = [
-                range(d[i + t] - req[t] - twist_depth, d[i + t] - req[t] + 1)
+                range(d[i + t] - req[t] - 2, d[i + t] - req[t] + 1)
                 for t in range(ell)
             ]
             for sub in product(*ranges):
@@ -727,9 +736,9 @@ def brute_force_band_verdict(b: BandSheaf, twist_depth: int = 2) -> str:
 # seeded corpora
 
 
-def random_label(rng: random.Random, symbols: tuple[str, ...] = ("a", "b")) -> Label:
+def random_label(rng: random.Random) -> Label:
     out = Label.identity()
-    for sym in symbols:
+    for sym in ("a", "b"):
         exp = rng.randint(-2, 2)
         if exp:
             out = out * (Label.generator(sym) ** exp)
@@ -738,15 +747,12 @@ def random_label(rng: random.Random, symbols: tuple[str, ...] = ("a", "b")) -> L
 
 def random_summand(
     rng: random.Random,
-    n: int | None = None,
-    kinds: tuple[str, ...] = ("chain", "band"),
-    max_n: int = 6,
+    n: int,
+    kinds: tuple[str, ...],
     max_k: int = 8,
     max_deg: int = 3,
 ) -> Summand:
     """One random summand; all randomness comes from the supplied rng."""
-    if n is None:
-        n = rng.randint(1, max_n)
     kind = rng.choice(kinds)
     if kind == "chain":
         k = rng.randint(1, max_k)
@@ -768,33 +774,20 @@ def random_summand(
 
 
 def random_corpus(
-    seed: int,
-    count: int = 500,
-    kinds: tuple[str, ...] = ("chain", "band"),
-    max_n: int = 6,
-    max_k: int = 8,
-    max_deg: int = 3,
+    seed: int, count: int, kinds: tuple[str, ...] = ("chain", "band")
 ) -> tuple[Summand, ...]:
     rng = random.Random(seed)
-    return tuple(
-        random_summand(rng, None, kinds, max_n, max_k, max_deg) for _ in range(count)
-    )
+    return tuple(random_summand(rng, rng.randint(1, 6), kinds) for _ in range(count))
 
 
-def random_object(
-    rng: random.Random,
-    n: int | None = None,
-    max_summands: int = 4,
-    kinds: tuple[str, ...] = ("chain", "band", "torsion"),
-    semistable_only: bool = False,
-) -> SheafObject:
-    """A random direct sum on one curve, optionally skipping unstable parts."""
-    if n is None:
-        n = rng.randint(1, 6)
+def random_object(rng: random.Random, semistable_only: bool = False) -> SheafObject:
+    """A random direct sum of one to four summands on one curve, optionally
+    skipping unstable parts."""
+    n = rng.randint(1, 6)
     parts: list[Summand] = []
-    want = rng.randint(1, max_summands)
+    want = rng.randint(1, 4)
     while len(parts) < want:
-        s = random_summand(rng, n, kinds, max_k=6, max_deg=2)
+        s = random_summand(rng, n, ("chain", "band", "torsion"), max_k=6, max_deg=2)
         if semistable_only and is_semistable(s) == UNSTABLE:
             continue
         parts.append(s)

@@ -68,16 +68,6 @@ def test_kclass_charge_and_kernel():
     assert charge(KClass(3, 0, (1, 0, 0))) == (0, 1)
 
 
-def test_kclass_arithmetic():
-    a = KClass(2, 1, (1, 0))
-    b = KClass(2, -1, (0, 2))
-    assert a + b == KClass(2, 0, (1, 2))
-    assert a - a == KClass(2, 0, (0, 0))
-    assert -b == KClass(2, 1, (0, -2))
-    with pytest.raises(ValueError):
-        a + KClass(3, 0, (0, 0, 0))
-
-
 def test_kclass_validation_and_json():
     with pytest.raises(ValueError):
         KClass(0, 1, ())

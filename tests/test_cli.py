@@ -3,8 +3,10 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -28,6 +30,12 @@ GOLDEN = HERE / "golden"
 
 def data(name: str) -> str:
     return str(DATA / name)
+
+
+def timed_run(argv):
+    start = time.perf_counter()
+    code, text = run(argv)
+    return code, text, time.perf_counter() - start
 
 
 GOLDEN_CASES = [
@@ -230,6 +238,13 @@ def test_curve_size_is_capped(tmp_path, capsys):
     path.write_text(json.dumps(_torsion(MAX_N + 1, NODE, 1)))
     assert main(["charge", str(path)]) == 2
     assert f"cap of {MAX_N}" in capsys.readouterr().err
+    # many summands at the cap: the K-class is one pass, so 2,000 points
+    # cost about 0.03 s, and one length-n pass per summand exceeds the bound
+    point = {"type": "torsion", "position": NODE, "length": 1}
+    path.write_text(json.dumps({"n": MAX_N, "summands": [point] * 2000}))
+    code, text, seconds = timed_run(["charge", str(path)])
+    assert code == 0 and json.loads(text)["k_class"]["chi"] == 2000
+    assert seconds < 0.4
 
 
 def test_module_entry_point_runs_the_verb():
@@ -342,6 +357,19 @@ def test_band_cycle_is_capped(tmp_path, capsys):
     path.write_text(json.dumps({"n": 2, "summands": [band]}))
     assert main(["charge", str(path)]) == 2
     assert f"band n*r above the cap of {MAX_N}" in capsys.readouterr().err
+    # bands at the cap: storing each at its least sheet rotation is linear,
+    # so twenty with n = 1 and r = MAX_N cost about 0.35 s, and a canonical
+    # form quadratic in r, recomputed by every comparison, exceeds the bound
+    rng = random.Random(5)
+    bands = [
+        {"type": "band", "r": MAX_N, "lambda": "1",
+         "multideg": [rng.randint(-1, 1) for _ in range(MAX_N)]}
+        for _ in range(20)
+    ]
+    path.write_text(json.dumps({"n": 1, "summands": bands}))
+    code, text, seconds = timed_run(["semistable", str(path)])
+    assert code == 0 and len(json.loads(text)["verdicts"]) == 20
+    assert seconds < 4
 
 
 @pytest.mark.parametrize(

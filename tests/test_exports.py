@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -70,3 +71,45 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             ):
                 unreached.add(public)
     assert unreached == set(UNREACHED)
+
+
+def _passed(call: ast.Call, params: list[str]) -> set[str]:
+    """The parameters a call gives: by keyword, by position, or all of
+    them through *args or **kwargs."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        kw.arg is None for kw in call.keywords
+    ):
+        return set(params)
+    return set(params[: len(call.args)]) | {kw.arg for kw in call.keywords}
+
+
+def test_every_default_is_overridden_somewhere():
+    """A defaulted parameter of a public function must be passed by some
+    call in the library, the benchmark or the tests; a setting no caller
+    sets is a constant."""
+    files = [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    files += (ROOT / "tests").glob("*.py")
+    calls = [
+        node
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+    ]
+    unset = set()
+    for name in MODULES[1:]:
+        module = importlib.import_module(name)
+        for public in module.__all__:
+            func = inspect.unwrap(getattr(module, public))
+            if not inspect.isfunction(func):
+                continue
+            params = list(inspect.signature(func).parameters.values())
+            names = [p.name for p in params]
+            passed = set()
+            for call in calls:
+                callee = call.func
+                if public in (getattr(callee, "id", None), getattr(callee, "attr", None)):
+                    passed |= _passed(call, names)
+            for p in params:
+                if p.default is not p.empty and p.name not in passed:
+                    unset.add(f"{public}({p.name})")
+    assert sorted(unset) == []

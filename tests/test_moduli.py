@@ -111,7 +111,7 @@ def test_stable_vb_construct():
 
 def test_classify_half_slope_on_hexagon():
     desc = classify(6, slope_to_phase(Slope(1, 2)))
-    assert desc.s == 2 and desc.r == 1
+    assert desc.s == 2 and desc.representative.a == 1
     assert desc.representative == CuspClass(6, 2, 1)
     assert desc.stable_charges == ((-3, 6), (-1, 2))
     assert desc.positive_component == "E₂"
@@ -125,7 +125,7 @@ def test_classify_half_slope_on_hexagon():
 
 def test_classify_slope_zero_two_components():
     desc = classify(2, slope_to_phase(Slope(0, 1)))
-    assert desc.s == 1 and desc.r == 0
+    assert desc.s == 1 and desc.representative.a == 0
     assert desc.positive_component == "E₁"
     assert desc.rigid_count == 2
     assert desc.stable_charges == ((0, 2), (0, 1))

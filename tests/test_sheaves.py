@@ -35,7 +35,6 @@ from ngonstab.sheaves import (
     summand_to_json,
     tensor_line,
     _rotated,
-    _sheet_canonical,
 )
 
 A = Label.generator("a")
@@ -118,12 +117,23 @@ def test_sheet_canonical_is_the_least_rotation():
         # new[(i + by) % L] = old[i], index by index
         return tuple(seq[(i - by) % len(seq)] for i in range(len(seq)))
 
+    def vectors(rng):
+        # random, periodic, and periodic with one entry nudged
+        for _ in range(300):
+            n, r = rng.randint(1, 6), rng.randint(1, 14)
+            yield n, r, [rng.randint(-2, 2) for _ in range(n * r)]
+            q = rng.choice([t for t in range(1, r + 1) if r % t == 0])
+            piece = [rng.randint(-1, 1) for _ in range(n * q)]
+            yield n, r, piece * (r // q)
+            d = piece * (r // q)
+            d[rng.randrange(n * r)] += rng.choice((-1, 1))
+            yield n, r, d
+
     rng = random.Random(29)
-    for _ in range(400):
-        n, r = rng.randint(1, 6), rng.randint(1, 6)
-        d = tuple(rng.randint(-2, 2) for _ in range(n * r))
-        b = BandSheaf(n, r, d, A)
-        assert _sheet_canonical(b) == min(literal_rotation(d, n * t) for t in range(r))
+    for n, r, d in vectors(rng):
+        d = tuple(d)
+        least = min(literal_rotation(d, n * t) for t in range(r))
+        assert BandSheaf(n, r, d, A).multideg == least, (n, r, d)
         by = rng.randint(-3 * n * r, 3 * n * r)
         assert _rotated(d, by) == literal_rotation(d, by)
 
