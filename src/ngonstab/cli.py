@@ -12,6 +12,7 @@ states the exit codes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -212,6 +213,9 @@ def _cmd_semistable(args):
     return {"n": obj.n, "verdicts": rows}
 
 
+# Built once per process: parse_args leaves the parser as it was and the
+# argument types are pure, so every run can share it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False: only full flag names, so a flag added to a verb
     # cannot change what an abbreviation used to mean

@@ -13,9 +13,9 @@ ValueError, say for an unstable summand to filter or a matrix outside
 the level); 2 for malformed input: bad arguments, an unreadable file,
 bad JSON (malformed, not UTF-8 or nested too deeply), a value of the
 wrong shape or type (JSON true and false are never integers), or a size
-above a cap, whose message names the cap.  One domain condition also
-exits 2: a K-matrix that is not unimodular, since such a file describes
-no K-lattice automorphism at all.
+or an integer above a cap, whose message names the cap.  One domain
+condition also exits 2: a K-matrix that is not unimodular, since such a
+file describes no K-lattice automorphism at all.
 SchemaError does not subclass ValueError, so the two stay disjoint.
 """
 
@@ -71,6 +71,12 @@ MAX_ORACLE_BAND = 6
 # hn --oracle builds every subset sum of the summand charges, the most
 # that hn.brute_force_polygon accepts.
 MAX_ORACLE_SUMMANDS = 16
+# The digits of any integer in a file, a slope or a label.  A verb prints
+# sums and products of at most two such integers and sizes under the caps
+# above (chi = -m * sum(multideg) over the summands; a descended matrix
+# sums n + 1 entries), so nothing it prints nears the 4,300 digits Python
+# will convert to text: about 2 * 100 + 20 at most.
+MAX_INT_DIGITS = 100
 
 
 class SchemaError(Exception):
@@ -84,6 +90,13 @@ def check_cap(value: int, cap: int, what: str) -> int:
     return value
 
 
+def _integer(text: str) -> int:
+    """int(text), refused above MAX_INT_DIGITS digits before it is converted."""
+    if len(text.strip().lstrip("+-")) > MAX_INT_DIGITS:
+        raise SchemaError(f"integer above the cap of {MAX_INT_DIGITS} digits")
+    return int(text)
+
+
 # ---------------------------------------------------------------------------
 # JSON files and fields
 
@@ -92,7 +105,7 @@ def load_json(path: str) -> object:
     """The JSON document in a file; every read or parse failure is a SchemaError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_integer)
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(str(exc)) from None
     except json.JSONDecodeError as exc:
@@ -220,7 +233,7 @@ def parse_slope(text: str) -> Slope:
         return Slope.infinity()
     num, slash, den = text.partition("/")
     try:
-        return Slope.of(int(num), int(den) if slash else 1)
+        return Slope.of(_integer(num), _integer(den) if slash else 1)
     except ValueError:
         raise SchemaError(f"not a slope: {text!r}") from None
 
@@ -237,7 +250,7 @@ def parse_label(text: object) -> Label:
             name = name.strip()
             try:
                 Label.generator(name)  # refuses a bad symbol
-                powers[name] = powers.get(name, 0) + (int(exp) if caret else 1)
+                powers[name] = powers.get(name, 0) + (_integer(exp) if caret else 1)
             except ValueError:
                 raise SchemaError(f"bad label factor {part!r}") from None
     return Label(tuple(sorted((s, e) for s, e in powers.items() if e)))

@@ -39,7 +39,6 @@ import random
 from dataclasses import dataclass, replace
 from itertools import accumulate, product
 from math import gcd
-from typing import Union
 
 from .charges import ChargeVec, KClass, PhasePoint, is_int, phase_of_charge
 
@@ -291,7 +290,7 @@ class TorsionSheaf:
     """Finite-length summand at one point of the cycle."""
 
     n: int
-    position: Union[SmoothPoint, NodePoint]
+    position: SmoothPoint | NodePoint
     length: int
 
     def __post_init__(self) -> None:
@@ -310,7 +309,9 @@ class TorsionSheaf:
             raise ValueError("position must be a SmoothPoint or a NodePoint")
 
 
-Summand = Union[BandSheaf, ChainSheaf, TorsionSheaf]
+# not typing.Union[...], whose process-wide cache would keep the classes
+# of every import of this module, and through them the module, alive
+Summand = BandSheaf | ChainSheaf | TorsionSheaf
 
 
 def _summand_sort_key(s: Summand) -> tuple:
@@ -360,7 +361,7 @@ class SheafObject:
 # K-theory
 
 
-def k_class(s: Union[Summand, SheafObject]) -> KClass:
+def k_class(s: Summand | SheafObject) -> KClass:
     """Class chi*e0 + sum(rank_i * e_i) of a summand or a direct sum.
 
     One pass in O(n + total chain length): a band adds r*m to every
@@ -380,7 +381,7 @@ def k_class(s: Union[Summand, SheafObject]) -> KClass:
     return KClass(s.n, chi, tuple(x + everywhere for x in ranks))
 
 
-def object_charge(s: Union[Summand, SheafObject]) -> ChargeVec:
+def object_charge(s: Summand | SheafObject) -> ChargeVec:
     """Central charge (-chi, total rank), read straight off the summand data.
 
     Equal to charges.charge(k_class(s)), without building the length-n
@@ -402,7 +403,7 @@ def object_charge(s: Union[Summand, SheafObject]) -> ChargeVec:
     raise TypeError(f"not a sheaf model: {type(s).__name__}")
 
 
-def phase(s: Union[Summand, SheafObject]) -> PhasePoint:
+def phase(s: Summand | SheafObject) -> PhasePoint:
     """Phase of the central charge; honest sheaves land in (0, 1]."""
     c = object_charge(s)
     if c == (0, 0):
@@ -414,7 +415,7 @@ def phase(s: Union[Summand, SheafObject]) -> PhasePoint:
 # covers, deck action, line-bundle twists
 
 
-def pullback(s: Union[Summand, SheafObject], m: int) -> SheafObject:
+def pullback(s: Summand | SheafObject, m: int) -> SheafObject:
     """Pull back along the degree m/n cover of cycles; n must divide m.
 
     Bands can split: the covering nr-cycle and the m-cycle have a fiber
@@ -449,7 +450,7 @@ def pullback(s: Union[Summand, SheafObject], m: int) -> SheafObject:
         out = []
         for j in range(f):
             if isinstance(pos, SmoothPoint):
-                moved: Union[SmoothPoint, NodePoint] = SmoothPoint(
+                moved: SmoothPoint | NodePoint = SmoothPoint(
                     pos.component + j * n, pos.label
                 )
             else:
@@ -764,7 +765,7 @@ def random_summand(
         return BandSheaf(n, r, d, random_label(rng), rng.randint(1, 2))
     if kind == "torsion":
         if rng.random() < 0.5:
-            pos: Union[SmoothPoint, NodePoint] = SmoothPoint(
+            pos: SmoothPoint | NodePoint = SmoothPoint(
                 rng.randrange(n), rng.choice(("p", "q", "z"))
             )
         else:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -12,9 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ngonstab
-from ngonstab.cli import main, run
+from ngonstab.cli import _build_parser, main, run
 from ngonstab.moduli import enumerate_rigid
 from ngonstab.schemas import (
+    MAX_INT_DIGITS,
     MAX_K_N,
     MAX_N,
     MAX_ORACLE_CHAIN,
@@ -68,6 +71,60 @@ def test_runs_are_deterministic():
     assert run(["classify", "12", "--slope", "5/6"]) == run(
         ["classify", "12", "--slope", "5/6"]
     )
+
+
+# one argv sequence over every verb, help at both levels, unknown verbs
+# and flags, tables, oracles and refusals exiting 1 and 2; flags set by
+# one line must not leak into the next line of the same verb
+REUSE_SEQUENCE = [
+    ["-h"],
+    ["phase-classes", "6"],
+    ["phase-classes", "8", "--oracle"],
+    ["cusps", "4", "--format", "table"],
+    ["reduce", "12", "--slope", "7/10"],
+    ["reduce", "12", "--slope=x/y"],
+    ["classify", "--help"],
+    ["classify", "6", "--slope", "1/2", "--format", "table"],
+    ["classify", "6", "--slope", "1/2"],
+    ["rigid", "12", "--slope", "5/6"],
+    ["check-compat", data("iota3.json"), "--oracle", "--box", "4", "--seed", "3"],
+    ["check-compat", data("iota3.json")],
+    ["check-compat", "-h"],
+    ["lift", "4", data("gamma0_4.json")],
+    ["lift", "3", data("gamma0_4.json")],
+    ["hn", data("chain_plus_point.json"), "--oracle"],
+    ["hn", data("unstable_chain.json")],
+    ["charge", data("chain_plus_point.json"), "--format", "table"],
+    ["charge", data("broken.json")],
+    ["semistable", data("chain_plus_point.json"), "--oracle"],
+    ["semistable", data("chain_plus_point.json")],
+    ["no-such-verb", "4"],
+    ["cusps", "4", "--oracle"],
+    ["reduce", "7", "--slo", "1/2"],
+    ["phase-classes", "0"],
+    ["--help"],
+    [],
+    ["cusps", "4"],
+]
+
+
+def _streams(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_a_process_as_fresh_ones_would():
+    fresh = []
+    for argv in REUSE_SEQUENCE:
+        _build_parser.cache_clear()
+        fresh.append(_streams(argv))
+    _build_parser.cache_clear()
+    reused = [_streams(argv) for argv in REUSE_SEQUENCE]
+    assert _build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert {code for code, _, _ in fresh} == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +232,8 @@ def test_schema_error_exits_two(tmp_path):
         (b'{"n": 2, "summands": [{"type": "chain"}]}', "missing field"),
         (b"\xff\xfe{}", "can't decode byte 0xff"),  # not UTF-8
         (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+        # refused before conversion, past Python's own 4,300-digit limit
+        (b'{"n": 2, "summands": [' + b"7" * 5000 + b"]}", f"cap of {MAX_INT_DIGITS} digits"),
     ]:
         bad.write_bytes(content)
         for verb in ("charge", "semistable"):
@@ -186,6 +245,10 @@ def test_schema_error_exits_two(tmp_path):
 def test_bad_slope_exits_two():
     code, text = run(["reduce", "6", "--slope", "sideways"])
     assert code == 2
+    for slope in ["1" * 101 + "/7", "7/-" + "1" * 5000]:
+        code, text = run(["reduce", "12", f"--slope={slope}"])
+        assert code == 2
+        assert text == f"error: integer above the cap of {MAX_INT_DIGITS} digits\n"
 
 
 def _torsion(n, position, length):
@@ -245,6 +308,26 @@ def test_curve_size_is_capped(tmp_path, capsys):
     code, text, seconds = timed_run(["charge", str(path)])
     assert code == 0 and json.loads(text)["k_class"]["chi"] == 2000
     assert seconds < 0.4
+
+
+def _big_band(value):
+    band = {"type": "band", "r": 1, "multideg": [value], "lambda": "1", "m": value}
+    return {"n": 1, "summands": [band]}
+
+
+@pytest.mark.parametrize("verb", ["charge", "hn"])
+def test_integer_magnitude_is_capped(verb, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    # chi = -m * degree would print 8,581 digits, past the 4,300 that
+    # Python converts to text
+    path.write_text(json.dumps(_big_band(10**4290)))
+    assert main([verb, str(path)]) == 2
+    assert f"cap of {MAX_INT_DIGITS} digits" in capsys.readouterr().err
+    # the cap itself is accepted, and so is its product
+    cap = 10**MAX_INT_DIGITS - 1
+    path.write_text(json.dumps(_big_band(cap)))
+    code, text = run([verb, str(path)])
+    assert code == 0 and str(cap * cap) in text
 
 
 def test_module_entry_point_runs_the_verb():

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import ast
+import gc
 import importlib
 import inspect
+import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -113,3 +116,29 @@ def test_every_default_is_overridden_somewhere():
                 if p.default is not p.empty and p.name not in passed:
                     unset.add(f"{public}({p.name})")
     assert sorted(unset) == []
+
+
+def test_a_fresh_import_frees_the_one_before():
+    # a module-level cache keyed by library classes (as typing keeps for
+    # Union[...]) would hold every import's classes, and through their
+    # methods' globals whole modules, for the life of the process
+    def fresh_import():
+        for name in [m for m in sys.modules if m.split(".")[0] == "ngonstab"]:
+            del sys.modules[name]
+        return importlib.import_module("ngonstab.cli")
+
+    saved = {m: sys.modules[m] for m in sys.modules if m.split(".")[0] == "ngonstab"}
+    try:
+        fresh_import()
+        first = [
+            weakref.ref(sys.modules["ngonstab.sheaves"].ChainSheaf),
+            weakref.ref(sys.modules["ngonstab.charges"].PhasePoint),
+        ]
+        for _ in range(3):
+            fresh_import()
+            gc.collect()
+        assert [ref() for ref in first] == [None, None]
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "ngonstab"]:
+            del sys.modules[name]
+        sys.modules.update(saved)
