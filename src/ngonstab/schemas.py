@@ -71,12 +71,13 @@ MAX_ORACLE_BAND = 6
 # hn --oracle builds every subset sum of the summand charges, the most
 # that hn.brute_force_polygon accepts.
 MAX_ORACLE_SUMMANDS = 16
-# The digits of any integer in a file, a slope or a label.  A verb prints
-# sums and products of at most two such integers and sizes under the caps
-# above (chi = -m * sum(multideg) over the summands; a descended matrix
-# sums n + 1 entries), so nothing it prints nears the 4,300 digits Python
-# will convert to text: about 2 * 100 + 20 at most.
+# The digits of any integer read from a file, a slope or a label.  A
+# verb prints sums and products of at most two such integers and sizes
+# under the caps above (chi = -m * sum(multideg) over the summands; a
+# descended matrix sums n + 1 entries), so nothing it prints nears the
+# 4,300 digits Python will convert to text: about 2 * 100 + 20 at most.
 MAX_INT_DIGITS = 100
+_INT_BOUND = 10**MAX_INT_DIGITS
 
 
 class SchemaError(Exception):
@@ -97,6 +98,12 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+def _check_digits(values) -> None:
+    """SchemaError naming the cap if an integer of values has too many digits."""
+    if values and not -_INT_BOUND < min(values) <= max(values) < _INT_BOUND:
+        raise SchemaError(f"integer above the cap of {MAX_INT_DIGITS} digits")
+
+
 # ---------------------------------------------------------------------------
 # JSON files and fields
 
@@ -105,12 +112,18 @@ def load_json(path: str) -> object:
     """The JSON document in a file; every read or parse failure is a SchemaError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_int=_integer)
+            # integers decode natively; the decoders below check the
+            # digits of every integer they read
+            return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(str(exc)) from None
     except json.JSONDecodeError as exc:
         where = f"line {exc.lineno}, column {exc.colno}"
         raise SchemaError(f"malformed JSON at {where}: {exc.msg}") from None
+    except ValueError:
+        # the one other ValueError of json.load: an integer literal past
+        # the 4,300 digits Python converts
+        raise SchemaError(f"integer above the cap of {MAX_INT_DIGITS} digits") from None
     except RecursionError:
         raise SchemaError("JSON nested too deeply") from None
 
@@ -132,6 +145,7 @@ def _int(obj: dict, key: str, what: str) -> int:
     value = _field(obj, key, what)
     if not is_int(value):
         raise SchemaError(f"{what} {key} must be an integer")
+    _check_digits((value,))
     return value
 
 
@@ -139,6 +153,7 @@ def _ints(obj: dict, key: str, what: str) -> tuple[int, ...]:
     value = _field(obj, key, what)
     if not isinstance(value, list) or not all(is_int(x) for x in value):
         raise SchemaError(f"{what} {key} must be a list of integers")
+    _check_digits(value)
     return tuple(value)
 
 
@@ -164,6 +179,7 @@ def mat2_from_json(obj: object) -> Mat2:
     ):
         raise SchemaError("matrix must be [[a, b], [c, d]] with integer entries")
     (a, b), (c, d) = obj
+    _check_digits((a, b, c, d))
     return Mat2(a, b, c, d)
 
 
@@ -172,8 +188,14 @@ def kauto_from_json(obj: object) -> KAuto:
     obj = _object(obj, "K-matrix")
     n = _size(obj, "n", MAX_K_N, "K-matrix")
     matrix = _field(obj, "matrix", "K-matrix")
+    amplitude = obj.get("amplitude_M")
+    # digits first, since the constructor's determinant grows with them;
+    # the constructor refuses a matrix of the wrong shape or type itself
+    rows = matrix if isinstance(matrix, list) else []
+    _check_digits([x for row in rows if isinstance(row, list) for x in row if is_int(x)])
+    _check_digits([amplitude] if is_int(amplitude) else [])
     try:
-        return KAuto(n, matrix, obj.get("amplitude_M"))
+        return KAuto(n, matrix, amplitude)
     except ValueError as exc:
         # the constructor checks the shape, the entries, the certificate
         # and unimodularity; any of them failing makes the file malformed

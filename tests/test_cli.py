@@ -330,6 +330,29 @@ def test_integer_magnitude_is_capped(verb, tmp_path, capsys):
     assert code == 0 and str(cap * cap) in text
 
 
+def test_matrix_integers_are_capped(tmp_path):
+    path = tmp_path / "input.json"
+    big = 10**MAX_INT_DIGITS
+    refusal = f"error: integer above the cap of {MAX_INT_DIGITS} digits\n"
+    path.write_text(json.dumps([[1, 0], [4 * big, 1]]))
+    assert run(["lift", "4", str(path)]) == (2, refusal)
+    path.write_text(json.dumps([[1, 0], [4 * (big // 10), 1]]))
+    assert run(["lift", "4", str(path)])[0] == 0
+    # refused before the determinant, which on a dense matrix at the size
+    # cap takes seconds even with one-digit entries
+    rng = random.Random(3)
+    dense = [[rng.randint(-9, 9) for _ in range(MAX_K_N + 1)] for _ in range(MAX_K_N + 1)]
+    dense[MAX_K_N][0] = -(10**4000)
+    path.write_text(json.dumps({"n": MAX_K_N, "matrix": dense, "amplitude_M": 0}))
+    code, text, seconds = timed_run(["check-compat", str(path)])
+    assert (code, text) == (2, refusal) and seconds < 0.5
+    with open(data("iota3.json")) as fh:
+        kauto = json.load(fh)
+    kauto["amplitude_M"] = big
+    path.write_text(json.dumps(kauto))
+    assert run(["check-compat", str(path)]) == (2, refusal)
+
+
 def test_module_entry_point_runs_the_verb():
     src = str(pathlib.Path(ngonstab.__file__).resolve().parent.parent)
     env = dict(os.environ)
