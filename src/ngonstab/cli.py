@@ -67,8 +67,8 @@ def _capped(cap: int, what: str):
     return parse
 
 
-# The verb table: verb -> (handler, help, argument parsers), each argument
-# a parser of its own, built once and shared through parents=.
+# The verb table: verb -> (handler, help, arguments), each argument a
+# (name, add_argument options) pair that _build_parser adds to the verb.
 _VERBS: dict[str, tuple] = {}
 
 
@@ -80,22 +80,16 @@ def _verb(name: str, help_text: str, *arguments):
     return enter
 
 
-def _argument(name: str, **options) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument(name, **options)
-    return parser
-
-
-_FORMAT = _argument("--format", choices=("json", "table"), default="json")
-_LEVEL = _argument("n", type=_capped(schemas.MAX_N, "level"))
-_SLOPE = _argument("--slope", required=True, help="p/q, an integer, or inf")
-_OBJECT = _argument("file", help="sheaf object JSON file")
-_ORACLE = _argument("--oracle", action="store_true", help="also run the oracle")
-_BOX = _argument("--box", type=_capped(schemas.MAX_BOX, "box radius"), default=25)
-_SEED = _argument("--seed", type=int, default=0, help="seed for the sampled oracle")
-_KMATRIX = _argument("file", help="K-matrix JSON file")
-_K_LEVEL = _argument("n", type=_capped(schemas.MAX_K_N, "level"))
-_MATRIX = _argument("file", help="2x2 matrix JSON file")
+_FORMAT = ("--format", dict(choices=("json", "table"), default="json"))
+_LEVEL = ("n", dict(type=_capped(schemas.MAX_N, "level")))
+_SLOPE = ("--slope", dict(required=True, help="p/q, an integer, or inf"))
+_OBJECT = ("file", dict(help="sheaf object JSON file"))
+_ORACLE = ("--oracle", dict(action="store_true", help="also run the oracle"))
+_BOX = ("--box", dict(type=_capped(schemas.MAX_BOX, "box radius"), default=25))
+_SEED = ("--seed", dict(type=int, default=0, help="seed for the sampled oracle"))
+_KMATRIX = ("file", dict(help="K-matrix JSON file"))
+_K_LEVEL = ("n", dict(type=_capped(schemas.MAX_K_N, "level")))
+_MATRIX = ("file", dict(help="2x2 matrix JSON file"))
 
 
 @_verb("phase-classes", "count phase classes at a level", _LEVEL, _ORACLE)
@@ -226,9 +220,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, (func, help_text, arguments) in _VERBS.items():
-        p = sub.add_parser(
-            verb, help=help_text, parents=[_FORMAT, *arguments], allow_abbrev=False
-        )
+        p = sub.add_parser(verb, help=help_text, allow_abbrev=False)
+        for name, options in (_FORMAT, *arguments):
+            p.add_argument(name, **options)
         p.set_defaults(func=func)
     return parser
 

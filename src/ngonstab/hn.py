@@ -27,7 +27,6 @@ from .sheaves import (
     SheafObject,
     is_semistable,
     object_charge,
-    phase,
 )
 
 __all__ = [
@@ -82,6 +81,22 @@ class HNResult:
         return {"slices": [s.to_json() for s in self.slices]}
 
 
+def _phase_groups(
+    charges: list[ChargeVec],
+) -> list[tuple[PhasePoint, ChargeVec, tuple[int, ...]]]:
+    """(phase, summed charge, indices) per distinct phase, descending."""
+    groups: dict[PhasePoint, list[int]] = {}
+    for idx, c in enumerate(charges):
+        groups.setdefault(phase_of_charge(c), []).append(idx)
+    out = []
+    for p in sorted(groups, key=lambda p: p.sort_key(), reverse=True):
+        members = tuple(groups[p])
+        re = sum(charges[i][0] for i in members)
+        im = sum(charges[i][1] for i in members)
+        out.append((p, (re, im), members))
+    return out
+
+
 def hn_of_object(s: SheafObject) -> HNResult:
     """Group the summands of a direct sum into descending-phase slices.
 
@@ -94,17 +109,8 @@ def hn_of_object(s: SheafObject) -> HNResult:
             raise ValueError(
                 f"summand {idx} is unstable; refine it before filtering"
             )
-    groups: dict[PhasePoint, list[int]] = {}
-    for idx, part in enumerate(s.summands):
-        groups.setdefault(phase(part), []).append(idx)
-    ordered = sorted(groups, key=lambda p: p.sort_key(), reverse=True)
-    slices = []
-    for p in ordered:
-        members = tuple(groups[p])
-        re = sum(object_charge(s.summands[i])[0] for i in members)
-        im = sum(object_charge(s.summands[i])[1] for i in members)
-        slices.append(HNSlice(p, (re, im), members))
-    result = HNResult(tuple(slices))
+    charges = [object_charge(part) for part in s.summands]
+    result = HNResult(tuple(HNSlice(*group) for group in _phase_groups(charges)))
     assert result.total_charge == object_charge(s)
     return result
 
@@ -153,17 +159,9 @@ def hn_polygon(charges: list[ChargeVec]) -> HNPolygon:
         if not in_h_prime(c):
             raise ValueError(f"charge {c} is not in H'")
         cleaned.append(c)
-    if not cleaned:
-        return HNPolygon(((0, 0),))
-    groups: dict[PhasePoint, list[ChargeVec]] = {}
-    for c in cleaned:
-        groups.setdefault(phase_of_charge(c), []).append(c)
-    ordered = sorted(groups, key=lambda p: p.sort_key(), reverse=True)
     vertices = [(0, 0)]
-    for p in ordered:
-        re = sum(c[0] for c in groups[p]) + vertices[-1][0]
-        im = sum(c[1] for c in groups[p]) + vertices[-1][1]
-        vertices.append((re, im))
+    for _, (re, im), _ in _phase_groups(cleaned):
+        vertices.append((vertices[-1][0] + re, vertices[-1][1] + im))
     return HNPolygon(tuple(vertices))
 
 

@@ -12,10 +12,10 @@ well-formed input asking for something impossible (the library raised
 ValueError, say for an unstable summand to filter or a matrix outside
 the level); 2 for malformed input: bad arguments, an unreadable file,
 bad JSON (malformed, not UTF-8 or nested too deeply), a value of the
-wrong shape or type (JSON true and false are never integers), or a size
-or an integer above a cap, whose message names the cap.  One domain
-condition also exits 2: a K-matrix that is not unimodular, since such a
-file describes no K-lattice automorphism at all.
+wrong shape or type (JSON true and false are never integers), or a size,
+an integer or the work of a check above a cap, whose message names the
+cap.  One domain condition also exits 2: a K-matrix that is not
+unimodular, since such a file describes no K-lattice automorphism at all.
 SchemaError does not subclass ValueError, so the two stay disjoint.
 """
 
@@ -54,6 +54,15 @@ MAX_N = 10_000
 # determinant of any K-matrix, lifted or decoded, is cubic in n (`lift`
 # takes about 0.65 s at the cap on a 2-CPU x86-64 host).
 MAX_K_N = 200
+# Decoding a K-matrix checks its determinant by Bareiss elimination:
+# about n^3 steps on integers as long as the Hadamard bound prod ||row||,
+# which bounds every minor.  The cap on n^2 times the bits of that bound
+# keeps the check under about 0.6 s on a 2-CPU x86-64 host: it admits
+# dense files of 1-digit entries up to n = 118, of 100-digit entries up
+# to n = 30, and lifts of short level words at n = MAX_K_N (tens of
+# bits); at n = MAX_K_N it refuses a lift whose level matrix has an entry
+# of 76 digits or more.
+MAX_DET_WORK = 10_000_000
 # One box oracle call visits (2 * box + 1)^2 lattice points, about 160k
 # at the cap.
 MAX_BOX = 200
@@ -189,11 +198,19 @@ def kauto_from_json(obj: object) -> KAuto:
     n = _size(obj, "n", MAX_K_N, "K-matrix")
     matrix = _field(obj, "matrix", "K-matrix")
     amplitude = obj.get("amplitude_M")
-    # digits first, since the constructor's determinant grows with them;
-    # the constructor refuses a matrix of the wrong shape or type itself
-    rows = matrix if isinstance(matrix, list) else []
-    _check_digits([x for row in rows if isinstance(row, list) for x in row if is_int(x)])
+    # digits and determinant work first, since the constructor's
+    # determinant grows with both; the constructor refuses a matrix of
+    # the wrong shape or type itself
+    rows = [
+        [x for x in row if is_int(x)]
+        for row in (matrix if isinstance(matrix, list) else [])
+        if isinstance(row, list)
+    ]
+    _check_digits([x for row in rows for x in row])
     _check_digits([amplitude] if is_int(amplitude) else [])
+    # ceil(log2 ||row||) per row: half of ceil(log2 of the sum of squares)
+    bits = sum(((sum(x * x for x in row) - 1).bit_length() + 1) // 2 for row in rows)
+    check_cap(n * n * bits, MAX_DET_WORK, "K-matrix determinant work n^2 * bits")
     try:
         return KAuto(n, matrix, amplitude)
     except ValueError as exc:

@@ -17,6 +17,7 @@ import ngonstab
 from ngonstab.cli import _build_parser, main, run
 from ngonstab.moduli import enumerate_rigid
 from ngonstab.schemas import (
+    MAX_DET_WORK,
     MAX_INT_DIGITS,
     MAX_K_N,
     MAX_N,
@@ -351,6 +352,28 @@ def test_matrix_integers_are_capped(tmp_path):
     kauto["amplitude_M"] = big
     path.write_text(json.dumps(kauto))
     assert run(["check-compat", str(path)]) == (2, refusal)
+
+
+def test_k_matrix_determinant_work_is_capped(tmp_path):
+    # a dense matrix of 100-digit entries at n = 100 would spin in the
+    # determinant check for minutes; the estimate refuses it up front
+    path = tmp_path / "dense.json"
+    rng = random.Random(9)
+    top = 10**MAX_INT_DIGITS - 1
+    dense = [[rng.randint(-top, top) for _ in range(101)] for _ in range(101)]
+    path.write_text(json.dumps({"n": 100, "matrix": dense, "amplitude_M": 0}))
+    code, text, seconds = timed_run(["check-compat", str(path)])
+    assert code == 2 and seconds < 1
+    assert text == (
+        f"error: K-matrix determinant work n^2 * bits above the cap of {MAX_DET_WORK}\n"
+    )
+    # a lifted word at the size cap stays far under it
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps([[1, 1], [MAX_K_N, MAX_K_N + 1]]))
+    code, text = run(["lift", str(MAX_K_N), str(path)])
+    assert code == 0
+    path.write_text(text)
+    assert run(["check-compat", str(path)])[0] == 0
 
 
 def test_module_entry_point_runs_the_verb():

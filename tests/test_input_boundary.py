@@ -1,8 +1,8 @@
 """Outside input is decoded in one module: `schemas`.
 
 The library modules raise ValueError and know nothing of exit codes, so
-only the command line (and the package, which re-exports the decoder)
-may import `schemas`, and no library class decodes JSON or text itself.
+only the command line may import `schemas`, and no library class decodes
+JSON or text itself.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from pathlib import Path
 import ngonstab
 
 SOURCES = {p.name: p for p in Path(ngonstab.__file__).parent.glob("*.py")}
-IMPORTERS = {"cli.py", "__init__.py"}
+IMPORTERS = {"cli.py"}
 LIBRARY = ["charges.py", "gamma0.py", "compat.py", "sheaves.py"]
 
 
