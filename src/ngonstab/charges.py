@@ -28,7 +28,6 @@ __all__ = [
     "Slope",
     "charge",
     "phase_of_charge",
-    "slope_phase_convert",
     "slope_to_phase",
     "compare_phase",
     "add_half_turns",
@@ -149,21 +148,17 @@ def phase_sort_key(c: ChargeVec):
 class PhasePoint:
     """Exact point of the phase line: phi = phi0(dir) + 2*two_shift.
 
-    dir is a primitive nonzero lattice direction and phi0 is its phase in
-    the (0, 2] window, so every value of the form (rational direction
-    phase) + (even integer) is representable, and nothing else is.
+    dir is a nonzero lattice direction, stored primitive, and phi0 is its
+    phase in the (0, 2] window, so every value of the form (rational
+    direction phase) + (even integer) is representable, and nothing else
+    is.  Positive multiples of one direction build the same point.
     """
 
     two_shift: int
     dir: ChargeVec
 
     def __post_init__(self) -> None:
-        d = tuple(self.dir)
-        object.__setattr__(self, "dir", d)
-        if d == (0, 0):
-            raise ValueError("phase direction cannot be zero")
-        if primitive(d) != d:
-            raise ValueError("phase direction must be primitive")
+        object.__setattr__(self, "dir", primitive(tuple(self.dir)))
 
     def sort_key(self) -> tuple:
         return (self.two_shift, _phase_key(self.dir))
@@ -174,9 +169,7 @@ class PhasePoint:
 
 def phase_of_charge(c: ChargeVec) -> PhasePoint:
     """Phase of a nonzero charge, in the principal window (0, 2]."""
-    if tuple(c) == (0, 0):
-        raise ValueError("charge in kernel")
-    return PhasePoint(0, primitive(tuple(c)))
+    return PhasePoint(0, c)
 
 
 def compare_phase(a: PhasePoint, b: PhasePoint) -> str:
@@ -208,18 +201,23 @@ def add_half_turns(p: PhasePoint, turns: int) -> PhasePoint:
 
 @dataclass(frozen=True)
 class Slope:
-    """Reduced rational slope num/den with den >= 0; (1, 0) encodes infinity."""
+    """Rational slope num/den, stored in lowest terms with den >= 0.
+
+    Every n/0 with n != 0 is the one infinite slope, stored as 1/0; only
+    0/0 is refused.  Equal fractions build equal slopes.
+    """
 
     num: int
     den: int
 
     def __post_init__(self) -> None:
-        if self.den < 0:
-            raise ValueError("slope denominator must be nonnegative")
-        if self.den == 0 and self.num != 1:
-            raise ValueError("infinite slope is encoded as 1/0")
-        if gcd(self.num, self.den) != 1:
-            raise ValueError("slope must be in lowest terms")
+        g = gcd(self.num, self.den)
+        if g == 0:
+            raise ValueError("0/0 is not a slope")
+        if self.den < 0 or (self.den == 0 and self.num < 0):
+            g = -g
+        object.__setattr__(self, "num", self.num // g)
+        object.__setattr__(self, "den", self.den // g)
 
     @classmethod
     def infinity(cls) -> "Slope":
@@ -231,15 +229,8 @@ class Slope:
 
     @classmethod
     def of(cls, num: int, den: int) -> "Slope":
-        """Build a slope from any integer pair (den may be 0 for infinity)."""
-        if num == 0 and den == 0:
-            raise ValueError("0/0 is not a slope")
-        if den == 0:
-            return cls.infinity()
-        if den < 0:
-            num, den = -num, -den
-        g = gcd(num, den)
-        return cls(num // g, den // g)
+        """The slope num/den; the constructor already reduces any pair."""
+        return cls(num, den)
 
     def __str__(self) -> str:
         if self.is_infinite:
@@ -247,18 +238,6 @@ class Slope:
         return f"{self.num}/{self.den}"
 
 
-def slope_phase_convert(p: PhasePoint) -> Slope:
-    """Slope -re/im of a phase already reduced into the window (0, 1]."""
-    if p.two_shift != 0 or not in_h_prime(p.dir):
-        raise ValueError("phase must be reduced mod 1 into (0, 1]")
-    re, im = p.dir
-    if im == 0:
-        return Slope.infinity()
-    return Slope.of(-re, im)
-
-
 def slope_to_phase(s: Slope) -> PhasePoint:
     """Phase in (0, 1] of the direction (-p, q) attached to the slope p/q."""
-    if s.is_infinite:
-        return PhasePoint(0, (-1, 0))
-    return PhasePoint(0, primitive((-s.num, s.den)))
+    return PhasePoint(0, (-s.num, s.den))

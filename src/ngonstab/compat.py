@@ -37,7 +37,6 @@ from .charges import (
     phase_cmp,
     phase_of_charge,
     phase_sort_key,
-    primitive,
 )
 from .gamma0 import Mat2, in_gamma0
 
@@ -248,7 +247,7 @@ def compute_m(M: Mat2, n: int) -> PhasePoint:
         return PhasePoint(0, (-1, 0))
     if uy == 0:  # u along (1, 0): the whole H' window survives
         return PhasePoint(0, (-1, 0))
-    return PhasePoint(0, primitive((-ux, -uy)))
+    return PhasePoint(0, (-ux, -uy))
 
 
 _VERDICTS = (

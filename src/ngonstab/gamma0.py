@@ -117,7 +117,7 @@ class Mat2:
         """Projective action on slopes: p/q maps to (a p + b q)/(c p + d q)."""
         num = self.a * s.num + self.b * s.den
         den = self.c * s.num + self.d * s.den
-        return Slope.of(num, den)
+        return Slope(num, den)
 
     def to_json(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]
@@ -184,7 +184,7 @@ class CuspClass:
 
     @property
     def slope(self) -> Slope:
-        return Slope.of(self.a, self.c)
+        return Slope(self.a, self.c)
 
     def to_json(self) -> dict:
         return {"N": self.N, "c": self.c, "a": self.a, "slope": str(self.slope)}
@@ -410,7 +410,7 @@ def restrict_partition_to_small_slopes(N: int, uf: _UnionFind) -> dict[Slope, ob
     for c in range(1, N + 1):
         for a in range(c):
             if gcd(a, c) == 1:
-                out[Slope.of(a, c)] = uf.find((c, a))
+                out[Slope(a, c)] = uf.find((c, a))
     return out
 
 
@@ -436,7 +436,7 @@ def brute_force_witness_bfs(N: int, s: Slope) -> Mat2 | None:
     for _ in range(12):
         nxt: list[tuple[tuple[int, int], Mat2]] = []
         for (num, den), word in frontier:
-            cur = Slope.of(num, den) if den != 0 else Slope.infinity()
+            cur = Slope(num, den)
             for gen in gens:
                 image = gen.moebius(cur)
                 key = (image.num, image.den)

@@ -27,12 +27,7 @@ from functools import lru_cache
 from math import gcd
 from typing import ClassVar
 
-from .charges import (
-    ChargeVec,
-    PhasePoint,
-    in_h_prime,
-    slope_phase_convert,
-)
+from .charges import ChargeVec, PhasePoint, Slope, in_h_prime
 from .gamma0 import CuspClass, Mat2, cusp_canonicalize
 from .sheaves import (
     STABLE,
@@ -58,14 +53,11 @@ _SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 def phase_representative(n: int, a: PhasePoint) -> tuple[CuspClass, Mat2]:
     """Canonical class of the slope attached to a phase, plus a witness.
 
-    Phases a and a+1 carry the same slope, so the direction is first
-    folded into the (0, 1] window.
+    The direction (re, im) carries the slope -re/im.  Phases a and a + 1
+    have opposite directions and so the same slope.
     """
-    d = a.dir
-    if not in_h_prime(d):
-        d = (-d[0], -d[1])
-    slope = slope_phase_convert(PhasePoint(0, d))
-    return cusp_canonicalize(n, slope)
+    re, im = a.dir
+    return cusp_canonicalize(n, Slope(-re, im))
 
 
 # Levels up to 60 carry 294 cusp classes, so 512 keys hold every rigid

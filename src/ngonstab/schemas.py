@@ -272,7 +272,7 @@ def parse_slope(text: str) -> Slope:
         return Slope.infinity()
     num, slash, den = text.partition("/")
     try:
-        return Slope.of(_integer(num), _integer(den) if slash else 1)
+        return Slope(_integer(num), _integer(den) if slash else 1)
     except ValueError:
         raise SchemaError(f"not a slope: {text!r}") from None
 
@@ -282,14 +282,11 @@ def parse_label(text: object) -> Label:
     if not isinstance(text, str):
         raise SchemaError("label must be a string")
     text = text.strip()
-    powers: dict[str, int] = {}
-    if text != "1":
-        for part in text.split("*"):
-            name, caret, exp = part.partition("^")
-            name = name.strip()
-            try:
-                Label.generator(name)  # refuses a bad symbol
-                powers[name] = powers.get(name, 0) + (_integer(exp) if caret else 1)
-            except ValueError:
-                raise SchemaError(f"bad label factor {part!r}") from None
-    return Label(tuple(sorted((s, e) for s, e in powers.items() if e)))
+    factors = []
+    for part in text.split("*") if text != "1" else ():
+        name, caret, exp = part.partition("^")
+        try:
+            factors += Label(((name.strip(), _integer(exp) if caret else 1),)).powers
+        except ValueError:
+            raise SchemaError(f"bad label factor {part!r}") from None
+    return Label(tuple(factors))

@@ -18,8 +18,6 @@ from ngonstab.charges import (
     phase_of_charge,
     phase_sort_key,
     primitive,
-    slope_phase_convert,
-    slope_to_phase,
 )
 from ngonstab.schemas import SchemaError, parse_slope
 
@@ -94,10 +92,21 @@ def test_phase_of_charge_pins():
 def test_phase_point_validation():
     with pytest.raises(ValueError):
         PhasePoint(0, (0, 0))
-    with pytest.raises(ValueError):
-        PhasePoint(0, (2, 4))
+    # the direction is stored primitive
+    assert PhasePoint(0, (2, 4)) == PhasePoint(0, (1, 2))
     # negative primitive directions are fine
     PhasePoint(-3, (-1, -1))
+
+
+@given(
+    st.integers(-4, 4),
+    st.integers(-50, 50),
+    st.integers(-50, 50),
+    st.integers(1, 30),
+)
+def test_phase_point_is_its_ray(t, x, y, k):
+    if (x, y) != (0, 0):
+        assert PhasePoint(t, (k * x, k * y)) == PhasePoint(t, (x, y))
 
 
 def test_positive_axis_is_window_maximum():
@@ -249,24 +258,16 @@ def test_slope_of_normalizes_sign():
     assert Slope.of(2, -4) == Slope(-1, 2)
     assert Slope.of(-3, -3) == Slope(1, 1)
     assert Slope.of(5, 0) == Slope.infinity()
+    assert Slope(-7, 0) == Slope.infinity()
+    assert Slope(1, -1) == Slope(-1, 1)
+    assert Slope(2, 4) == Slope(1, 2)
+    # integer division leaves no bool behind
+    assert str(Slope(True, 2)) == "1/2"
     with pytest.raises(ValueError):
-        Slope(1, -1)
-    with pytest.raises(ValueError):
-        Slope(2, 4)
+        Slope(0, 0)
 
 
-def test_slope_phase_round_trips():
-    for text in ("0", "1", "-3/2", "5/7", "inf"):
-        s = parse_slope(text)
-        assert slope_phase_convert(slope_to_phase(s)) == s
-    # and the other way, on directions already inside H'
-    for d in [(-1, 0), (0, 1), (-2, 3), (1, 4)]:
-        p = PhasePoint(0, d)
-        assert slope_to_phase(slope_phase_convert(p)) == p
-
-
-def test_slope_phase_convert_requires_reduced_window():
-    with pytest.raises(ValueError):
-        slope_phase_convert(PhasePoint(1, (0, 1)))
-    with pytest.raises(ValueError):
-        slope_phase_convert(PhasePoint(0, (1, 0)))
+@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-30, 30))
+def test_slope_is_its_fraction(p, q, k):
+    if (p, q) != (0, 0) and k != 0:
+        assert Slope(k * p, k * q) == Slope(p, q)

@@ -6,8 +6,8 @@ from math import gcd
 
 import pytest
 
-from ngonstab.charges import PhasePoint, Slope, slope_to_phase
-from ngonstab.gamma0 import CuspClass, cusp_equivalent, in_gamma0
+from ngonstab.charges import PhasePoint, Slope, add_half_turns, slope_to_phase
+from ngonstab.gamma0 import CuspClass, cusp_class, cusp_equivalent, in_gamma0
 from ngonstab.moduli import (
     classify,
     enumerate_rigid,
@@ -36,6 +36,12 @@ def test_phase_representative_folds_into_window():
     folded_cls, folded_witness = phase_representative(6, PhasePoint(0, (1, -2)))
     assert folded_cls == cls
     assert in_gamma0(folded_witness, 6)
+    # a phase and its half-turn both carry the slope it came from
+    for n in (1, 6, 12):
+        for s in (Slope(0, 1), Slope(1, 1), Slope(-3, 2), Slope(5, 7), Slope.infinity()):
+            p = slope_to_phase(s)
+            for q in (p, add_half_turns(p, 1)):
+                assert phase_representative(n, q)[0] == cusp_class(n, s)
 
 
 # ---------------------------------------------------------------------------
