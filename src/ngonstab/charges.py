@@ -17,7 +17,6 @@ carry phases in (0, 1], their negatives carry (1, 2].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 from math import gcd
 
@@ -47,6 +46,77 @@ def is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def value_class(cls: type) -> type:
+    """Make `cls` a frozen value class over its annotated fields.
+
+    Annotations other than ClassVar are the fields, in order; a class
+    attribute of the same name is the field's default.  One `exec` builds
+    `__init__` (assigns every field, then calls `__post_init__` if the
+    class has one), `__eq__` (same class and equal field tuples) and
+    `__hash__` (the hash of the field tuple): the code `dataclass`
+    generates for ``frozen=True``, so equal values compare and hash as
+    they did under it.  `__repr__`, the frozen `__setattr__` and
+    `__delattr__`, and `replace` are shared by every value class.
+    """
+    names = tuple(
+        name
+        for name, ann in cls.__dict__.get("__annotations__", {}).items()
+        if not str(ann).startswith(("ClassVar", "typing.ClassVar"))
+    )
+    ns = {"__name__": cls.__module__, "_set": object.__setattr__}
+    params = []
+    for name in names:
+        if name in cls.__dict__:
+            ns[f"_dflt_{name}"] = cls.__dict__[name]
+            params.append(f"{name}=_dflt_{name}")
+        else:
+            params.append(name)
+    own = "".join(f"self.{name}," for name in names)
+    other = "".join(f"other.{name}," for name in names)
+    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
+    if hasattr(cls, "__post_init__"):
+        body += "\n    self.__post_init__()"
+    exec(
+        f"def __init__(self, {', '.join(params)}):{body}\n"
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return ({own}) == ({other})\n"
+        "    return NotImplemented\n"
+        "def __hash__(self):\n"
+        f"    return hash(({own}))\n",
+        ns,
+    )
+    for method in ("__init__", "__eq__", "__hash__"):
+        fn = ns[method]
+        fn.__qualname__ = f"{cls.__qualname__}.{method}"
+        setattr(cls, method, fn)
+    cls._fields = names
+    cls.__repr__ = _value_repr
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    return cls
+
+
+def _value_repr(self) -> str:
+    args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+    return f"{type(self).__qualname__}({args})"
+
+
+def _frozen_setattr(self, name: str, value: object) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def replace(obj, **changes):
+    """A copy of a value object with the named fields changed; the copy
+    goes through the constructor, so it is checked and canonical."""
+    fields = {name: getattr(obj, name) for name in obj._fields}
+    return type(obj)(**{**fields, **changes})
+
+
 def in_h_prime(c: ChargeVec) -> bool:
     """Membership in H' = upper half plane plus the negative real ray."""
     re, im = c
@@ -62,7 +132,7 @@ def primitive(c: ChargeVec) -> ChargeVec:
     return (re // g, im // g)
 
 
-@dataclass(frozen=True)
+@value_class
 class KClass:
     """A K-group element chi*e0 + sum(ranks[i]*e_i) on the n-gon."""
 
@@ -144,7 +214,7 @@ def phase_sort_key(c: ChargeVec):
     return _phase_key(c)
 
 
-@dataclass(frozen=True, order=False)
+@value_class
 class PhasePoint:
     """Exact point of the phase line: phi = phi0(dir) + 2*two_shift.
 
@@ -199,7 +269,7 @@ def add_half_turns(p: PhasePoint, turns: int) -> PhasePoint:
     return PhasePoint(shift, d)
 
 
-@dataclass(frozen=True)
+@value_class
 class Slope:
     """Rational slope num/den, stored in lowest terms with den >= 0.
 

@@ -25,7 +25,6 @@ by conjugation with diag(-1, 1); `conjugate_by_D` converts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -37,6 +36,7 @@ from .charges import (
     phase_cmp,
     phase_of_charge,
     phase_sort_key,
+    value_class,
 )
 from .gamma0 import Mat2, in_gamma0
 
@@ -147,7 +147,7 @@ def _mat_inverse(m: IntMatrix) -> IntMatrix:
     return tuple(tuple(row[n:]) for row in a)
 
 
-@dataclass(frozen=True)
+@value_class
 class KAuto:
     """Unimodular automorphism of the rank-(n+1) K-lattice.
 
@@ -258,7 +258,7 @@ _VERDICTS = (
 )
 
 
-@dataclass(frozen=True)
+@value_class
 class CompatReport:
     kernel_preserved: bool
     descended: Mat2 | None

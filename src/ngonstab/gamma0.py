@@ -19,10 +19,9 @@ suite holds the closed form to both.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from math import gcd
 
-from .charges import Slope
+from .charges import Slope, value_class
 
 __all__ = [
     "Mat2",
@@ -63,7 +62,7 @@ def _modinv(a: int, m: int) -> int:
     return x % m
 
 
-@dataclass(frozen=True)
+@value_class
 class Mat2:
     """Integer 2x2 matrix [[a, b], [c, d]]."""
 
@@ -163,7 +162,7 @@ def class_count(N: int) -> int:
     return sum(_euler_phi(gcd(d, N // d)) for d in _divisors(N))
 
 
-@dataclass(frozen=True)
+@value_class
 class CuspClass:
     """Canonical cusp datum: divisor c of N plus a residue representative a.
 

@@ -13,14 +13,13 @@ small inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .charges import (
     ChargeVec,
     PhasePoint,
     compare_phase,
     in_h_prime,
     phase_of_charge,
+    value_class,
 )
 from .sheaves import (
     UNSTABLE,
@@ -39,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@value_class
 class HNSlice:
     """One semistable layer: its phase, total charge, and summand indices."""
 
@@ -61,7 +60,7 @@ class HNSlice:
         }
 
 
-@dataclass(frozen=True)
+@value_class
 class HNResult:
     slices: tuple[HNSlice, ...]
 
@@ -115,7 +114,7 @@ def hn_of_object(s: SheafObject) -> HNResult:
     return result
 
 
-@dataclass(frozen=True)
+@value_class
 class HNPolygon:
     """Vertices of the upper hull of partial charge sums, origin first."""
 

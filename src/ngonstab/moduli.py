@@ -22,12 +22,10 @@ uniqueness claim independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import ClassVar
 
-from .charges import ChargeVec, PhasePoint, Slope, in_h_prime
+from .charges import ChargeVec, PhasePoint, Slope, in_h_prime, value_class
 from .gamma0 import CuspClass, Mat2, cusp_canonicalize
 from .sheaves import (
     STABLE,
@@ -38,6 +36,12 @@ from .sheaves import (
     pullback,
     summand_to_json,
 )
+
+# Annotations are never evaluated here, and importing typing would cost a
+# cold start several milliseconds; type checkers read the import anyway.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import ClassVar
 
 __all__ = [
     "ModuliDescription",
@@ -117,7 +121,7 @@ def _transport_charge(witness: Mat2, chi: int, rk: int) -> ChargeVec:
     return c
 
 
-@dataclass(frozen=True)
+@value_class
 class ModuliDescription:
     """Everything the classification pins down for one phase.
 

@@ -36,11 +36,18 @@ group on named symbols rather than as complex numbers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from itertools import accumulate, product
 from math import gcd
 
-from .charges import ChargeVec, KClass, PhasePoint, is_int, phase_of_charge
+from .charges import (
+    ChargeVec,
+    KClass,
+    PhasePoint,
+    is_int,
+    phase_of_charge,
+    replace,
+    value_class,
+)
 
 __all__ = [
     "STABLE",
@@ -82,7 +89,7 @@ UNSTABLE = "Unstable"
 # gluing labels
 
 
-@dataclass(frozen=True)
+@value_class
 class Label:
     """Element of a free abelian group on named symbols, written multiplicatively.
 
@@ -142,7 +149,7 @@ def _is_symbol(s: object) -> bool:
 # torsion support points
 
 
-@dataclass(frozen=True)
+@value_class
 class SmoothPoint:
     """A smooth point: which component it sits on, plus an opaque marker."""
 
@@ -150,20 +157,20 @@ class SmoothPoint:
     label: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.component, int):
+        if not is_int(self.component):
             raise ValueError("component must be an integer")
         if not isinstance(self.label, str):
             raise ValueError("smooth point label must be a string")
 
 
-@dataclass(frozen=True)
+@value_class
 class NodePoint:
     """The node between components index and index + 1."""
 
     index: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.index, int):
+        if not is_int(self.index):
             raise ValueError("node index must be an integer")
 
 
@@ -208,7 +215,7 @@ def _least_sheet_rotation(seq: tuple[int, ...], n: int) -> tuple[int, ...]:
     return seq[best * n :] + seq[: best * n]
 
 
-@dataclass(frozen=True)
+@value_class
 class BandSheaf:
     """Locally free summand: degree vector on the nr-cycle, label, multiplicity.
 
@@ -249,7 +256,7 @@ class BandSheaf:
         raise AssertionError("rotation by r sheets is the identity")
 
 
-@dataclass(frozen=True)
+@value_class
 class ChainSheaf:
     """Torsion-free non-locally-free summand: a chain of k lines over the cycle.
 
@@ -273,7 +280,7 @@ class ChainSheaf:
             raise ValueError("multideg must have length k")
 
 
-@dataclass(frozen=True)
+@value_class
 class TorsionSheaf:
     """Finite-length summand at one point of the cycle."""
 
@@ -315,7 +322,7 @@ def _summand_sort_key(s: Summand) -> tuple:
     return (2, s.r, s.m, s.multideg, str(s.lam))
 
 
-@dataclass(frozen=True)
+@value_class
 class SheafObject:
     """Formal direct sum of summands on a single cycle curve.
 

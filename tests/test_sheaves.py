@@ -109,6 +109,17 @@ def test_constructor_validation():
         TorsionSheaf(3, "somewhere", 1)
 
 
+def test_positions_refuse_booleans():
+    # bool is a subclass of int, but not a component or node index
+    for bad in (True, False):
+        with pytest.raises(ValueError):
+            SmoothPoint(bad, "p")
+        with pytest.raises(ValueError):
+            NodePoint(bad)
+    with pytest.raises(ValueError):
+        SmoothPoint(1.0, "p")
+
+
 def test_positions_reduce_mod_n():
     assert TorsionSheaf(3, SmoothPoint(7, "p"), 1) == TorsionSheaf(
         3, SmoothPoint(1, "p"), 1
@@ -392,7 +403,7 @@ def test_chain_oracles_agree_sampled_long():
 
 def test_band_oracle_agrees_exhaustively():
     for n, r in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (2, 2), (4, 1)):
-        for m in (1, 2):
+        for m in (1, 2, 3):  # m > 1 takes the oracle's replace(b, m=1) path
             for d in itertools.product(range(-2, 3), repeat=n * r):
                 b = BandSheaf(n, r, d, A, m)
                 assert is_semistable(b) == brute_force_band_verdict(b), (n, r, d, m)

@@ -1,0 +1,119 @@
+"""Value semantics of the package's frozen classes (`charges.value_class`).
+
+Every class compares and hashes by its field tuple, exactly as a frozen
+dataclass does, so set and dict order, and with them the output bytes,
+depend only on the field values.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from ngonstab.charges import KClass, PhasePoint, Slope, replace, slope_to_phase
+from ngonstab.compat import CompatReport, KAuto
+from ngonstab.gamma0 import CuspClass, Mat2
+from ngonstab.hn import HNPolygon, HNResult, HNSlice
+from ngonstab.moduli import ModuliDescription, classify
+from ngonstab.sheaves import (
+    BandSheaf,
+    ChainSheaf,
+    Label,
+    NodePoint,
+    SheafObject,
+    SmoothPoint,
+    TorsionSheaf,
+)
+
+A = Label.generator("a")
+CHAIN = ChainSheaf(2, 2, 0, (0, 1))
+PHASE = PhasePoint(0, (0, 1))
+SLICE = HNSlice(PHASE, (0, 1), (0,))
+DESCRIPTION = classify(3, slope_to_phase(Slope(1, 2)))
+MODULI_FIELDS = {
+    "n": 3,
+    "phase": DESCRIPTION.phase,
+    "representative": DESCRIPTION.representative,
+    "witness": DESCRIPTION.witness,
+    "rigid_points": DESCRIPTION.rigid_points,
+    "stable_charges": DESCRIPTION.stable_charges,
+}
+
+# Each class with its fields, in declaration order, as stored canonical.
+TABLE = [
+    (KClass, {"n": 2, "chi": 1, "ranks": (1, 0)}),
+    (PhasePoint, {"two_shift": 1, "dir": (1, 2)}),
+    (Slope, {"num": -1, "den": 2}),
+    (Mat2, {"a": 1, "b": 2, "c": 0, "d": 1}),
+    (CuspClass, {"N": 6, "c": 2, "a": 1}),
+    (KAuto, {"n": 1, "matrix": ((1, 0), (0, 1)), "amplitude_certificate": 0}),
+    (
+        CompatReport,
+        {
+            "kernel_preserved": True,
+            "descended": Mat2(1, 0, 0, 1),
+            "det_plus_one": True,
+            "order_preserved": True,
+            "m_value": PHASE,
+            "verdict": "Compatible-by-criterion",
+        },
+    ),
+    (HNSlice, {"phase": PHASE, "total_charge": (0, 1), "members": (0,)}),
+    (HNResult, {"slices": (SLICE,)}),
+    (HNPolygon, {"vertices": ((0, 0), (-1, 1))}),
+    (ModuliDescription, MODULI_FIELDS),
+    (Label, {"powers": (("a", 1), ("b", -2))}),
+    (SmoothPoint, {"component": 1, "label": "p"}),
+    (NodePoint, {"index": 0}),
+    (BandSheaf, {"n": 2, "r": 1, "multideg": (0, 1), "lam": A, "m": 2}),
+    (ChainSheaf, {"n": 2, "k": 2, "start": 0, "multideg": (0, 1)}),
+    (TorsionSheaf, {"n": 2, "position": NodePoint(1), "length": 1}),
+    (SheafObject, {"summands": (CHAIN,)}),
+]
+IDS = [cls.__name__ for cls, _ in TABLE]
+
+
+@pytest.mark.parametrize("cls, fields", TABLE, ids=IDS)
+def test_value_semantics(cls, fields):
+    x = cls(**fields)
+    y = cls(*fields.values())
+    values = tuple(fields.values())
+    assert tuple(getattr(x, name) for name in fields) == values
+    assert x == y and not x != y and x is not y
+    assert hash(x) == hash(y) == hash(values)
+    assert len({x, y}) == 1
+    assert x != values and x.__eq__(values) is NotImplemented
+    args = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(x) == f"{cls.__name__}({args})"
+
+
+@pytest.mark.parametrize("cls, fields", TABLE, ids=IDS)
+def test_fields_are_frozen(cls, fields):
+    x = cls(**fields)
+    for name in [*fields, "other"]:
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert tuple(getattr(x, name) for name in fields) == tuple(fields.values())
+
+
+def test_defaults_and_class_constants():
+    assert KAuto(1, ((1, 0), (0, 1))).amplitude_certificate is None
+    assert BandSheaf(2, 1, (0, 1), A).m == 1
+    assert "galois_note" not in repr(DESCRIPTION)
+    assert DESCRIPTION == ModuliDescription(**MODULI_FIELDS)
+    assert isinstance(DESCRIPTION.galois_note, str)
+    with pytest.raises(TypeError):
+        ModuliDescription(galois_note="", **MODULI_FIELDS)
+
+
+def test_replace_builds_through_the_constructor():
+    band = BandSheaf(2, 2, (1, 0, 0, 1), A, 3)
+    once = replace(band, m=1)
+    assert once == BandSheaf(2, 2, band.multideg, A) and band.m == 3
+    with pytest.raises(ValueError):
+        replace(band, m=0)
+    with pytest.raises(TypeError):
+        replace(band, width=1)
+
