@@ -49,31 +49,37 @@ def is_int(x: object) -> bool:
 def value_class(cls: type) -> type:
     """Make `cls` a frozen value class over its annotated fields.
 
-    Annotations other than ClassVar are the fields, in order; a class
-    attribute of the same name is the field's default.  One `exec` builds
-    `__init__` (assigns every field, then calls `__post_init__` if the
-    class has one), `__eq__` (same class and equal field tuples) and
-    `__hash__` (the hash of the field tuple): the code `dataclass`
-    generates for ``frozen=True``, so equal values compare and hash as
-    they did under it.  `__repr__`, the frozen `__setattr__` and
-    `__delattr__`, and `replace` are shared by every value class.
+    Every annotation is a field, in order, so a class constant goes
+    unannotated; a class attribute of the same name is the field's
+    default.  One `exec` builds `__init__` (refuses any value `is_int`
+    rejects for a field annotated ``int``, assigns every field, then
+    calls `__post_init__` if the class has one), `__eq__` (same class and
+    equal field tuples) and `__hash__` (the hash of the field tuple): the
+    code `dataclass` generates for ``frozen=True``, so equal values
+    compare and hash as they did under it.  `__repr__`, the frozen
+    `__setattr__` and `__delattr__`, and `replace` are shared by every
+    value class.
     """
-    names = tuple(
-        name
-        for name, ann in cls.__dict__.get("__annotations__", {}).items()
-        if not str(ann).startswith(("ClassVar", "typing.ClassVar"))
-    )
-    ns = {"__name__": cls.__module__, "_set": object.__setattr__}
+    annotations = cls.__dict__.get("__annotations__", {})
+    names = tuple(annotations)
+    ns = {"__name__": cls.__module__, "_set": object.__setattr__, "_is_int": is_int}
     params = []
+    body = ""
     for name in names:
         if name in cls.__dict__:
             ns[f"_dflt_{name}"] = cls.__dict__[name]
             params.append(f"{name}=_dflt_{name}")
         else:
             params.append(name)
+        if annotations[name] in ("int", int):
+            # the exact-type test first keeps the common case to one compare
+            body += (
+                f"\n    if type({name}) is not int and not _is_int({name}):"
+                f"\n        raise ValueError({name + ' must be an integer'!r})"
+            )
     own = "".join(f"self.{name}," for name in names)
     other = "".join(f"other.{name}," for name in names)
-    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
+    body += "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
     if hasattr(cls, "__post_init__"):
         body += "\n    self.__post_init__()"
     exec(

@@ -471,12 +471,12 @@ def box_sup_phase(M: Mat2, n: int, box: int) -> tuple[PhasePoint, ChargeVec]:
 
     A lower bound for the true sup m + 1; compute_m's case analysis says
     the sup is attained at a lattice direction, so large enough boxes
-    reach it exactly.
+    reach it exactly.  Members arrive in ascending phase with no ties,
+    so the last one is the witness.
     """
     best_v = None
-    for v in _box_members(M, n, box):
-        if best_v is None or phase_cmp(v, best_v) > 0:
-            best_v = v
+    for best_v in _box_members(M, n, box):
+        pass
     if best_v is None:
         raise ValueError("no members in the box")
     return phase_of_charge(best_v), best_v

@@ -55,13 +55,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _modinv(a: int, m: int) -> int:
-    g, x, _ = xgcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible mod {m}")
-    return x % m
-
-
 @value_class
 class Mat2:
     """Integer 2x2 matrix [[a, b], [c, d]]."""
@@ -248,7 +241,7 @@ def _solve_congruence(alpha: int, beta: int, mod: int) -> int:
     if mod == d:
         return 0
     m2 = mod // d
-    return ((beta // d) * _modinv(alpha // d, m2)) % m2
+    return ((beta // d) * pow(alpha // d, -1, m2)) % m2
 
 
 def cusp_canonicalize(N: int, s: Slope) -> tuple[CuspClass, Mat2]:
@@ -339,7 +332,7 @@ def _gamma0_edge_table(N: int) -> dict[int, tuple[list[int], list[tuple[int, int
         for d in range(1, 2 * N + 2):
             if gcd(d, c) != 1:
                 continue
-            a = _modinv(d, c)
+            a = pow(d, -1, c)
             b = (a * d - 1) // c
             g = Mat2(a, b, c, d)
             assert g.det == 1 and g.c % N == 0

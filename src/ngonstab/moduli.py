@@ -37,12 +37,6 @@ from .sheaves import (
     summand_to_json,
 )
 
-# Annotations are never evaluated here, and importing typing would cost a
-# cold start several milliseconds; type checkers read the import anyway.
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from typing import ClassVar
-
 __all__ = [
     "ModuliDescription",
     "phase_representative",
@@ -138,7 +132,7 @@ class ModuliDescription:
     rigid_points: tuple[ChainSheaf, ...]
     stable_charges: tuple[ChargeVec, ChargeVec]
 
-    galois_note: ClassVar[str] = (
+    galois_note = (
         "Z/nZ acts transitively on rigid points; "
         "factors through Gal(E_s → E_1) on E_s"
     )

@@ -157,8 +157,6 @@ class SmoothPoint:
     label: str
 
     def __post_init__(self) -> None:
-        if not is_int(self.component):
-            raise ValueError("component must be an integer")
         if not isinstance(self.label, str):
             raise ValueError("smooth point label must be a string")
 
@@ -168,10 +166,6 @@ class NodePoint:
     """The node between components index and index + 1."""
 
     index: int
-
-    def __post_init__(self) -> None:
-        if not is_int(self.index):
-            raise ValueError("node index must be an integer")
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +287,16 @@ class TorsionSheaf:
             raise ValueError("n must be positive")
         if self.length < 1:
             raise ValueError("length must be positive")
-        pos = self.position
-        if isinstance(pos, SmoothPoint):
-            object.__setattr__(
-                self, "position", SmoothPoint(pos.component % self.n, pos.label)
-            )
-        elif isinstance(pos, NodePoint):
-            object.__setattr__(self, "position", NodePoint(pos.index % self.n))
-        else:
-            raise ValueError("position must be a SmoothPoint or a NodePoint")
+        object.__setattr__(self, "position", _moved(self.position, 0, self.n))
+
+
+def _moved(pos: SmoothPoint | NodePoint, by: int, n: int) -> SmoothPoint | NodePoint:
+    """The point `by` components on around the n-cycle, index reduced mod n."""
+    if isinstance(pos, SmoothPoint):
+        return SmoothPoint((pos.component + by) % n, pos.label)
+    if isinstance(pos, NodePoint):
+        return NodePoint((pos.index + by) % n)
+    raise ValueError("position must be a SmoothPoint or a NodePoint")
 
 
 # not typing.Union[...], whose process-wide cache would keep the classes
@@ -356,6 +351,24 @@ class SheafObject:
 # K-theory
 
 
+def _parts(s: Summand | SheafObject) -> tuple[Summand, ...]:
+    """The summands of a model: an object's own, or (s,) for a summand.
+
+    Every entry point below that takes a model walks it through here, so
+    anything else is refused with the one TypeError.
+    """
+    if isinstance(s, (BandSheaf, ChainSheaf, TorsionSheaf)):
+        return (s,)
+    if isinstance(s, SheafObject):
+        return s.summands
+    raise TypeError(f"not a sheaf model: {type(s).__name__}")
+
+
+def _like(s: Summand | SheafObject, images: list[Summand]):
+    """Per-summand images, shaped as s was: an object, or the one summand."""
+    return SheafObject(tuple(images)) if isinstance(s, SheafObject) else images[0]
+
+
 def k_class(s: Summand | SheafObject) -> KClass:
     """Class chi*e0 + sum(rank_i * e_i) of a summand or a direct sum.
 
@@ -364,16 +377,17 @@ def k_class(s: Summand | SheafObject) -> KClass:
     torsion adds no rank.
     """
     chi = -object_charge(s)[0]
-    parts = s.summands if isinstance(s, SheafObject) else (s,)
-    ranks = [0] * s.n
+    parts = _parts(s)
+    n = parts[0].n
+    ranks = [0] * n
     everywhere = 0
     for part in parts:
         if isinstance(part, BandSheaf):
             everywhere += part.r * part.m
         elif isinstance(part, ChainSheaf):
             for t in range(part.k):
-                ranks[(part.start + t) % part.n] += 1
-    return KClass(s.n, chi, tuple(x + everywhere for x in ranks))
+                ranks[(part.start + t) % n] += 1
+    return KClass(n, chi, tuple(x + everywhere for x in ranks))
 
 
 def object_charge(s: Summand | SheafObject) -> ChargeVec:
@@ -382,20 +396,17 @@ def object_charge(s: Summand | SheafObject) -> ChargeVec:
     Equal to charges.charge(k_class(s)), without building the length-n
     rank vector of the K-class.
     """
-    if isinstance(s, SheafObject):
-        re = im = 0
-        for part in s.summands:
-            x, y = object_charge(part)
-            re += x
-            im += y
-        return (re, im)
-    if isinstance(s, BandSheaf):
-        return (-s.m * sum(s.multideg), s.r * s.m * s.n)
-    if isinstance(s, ChainSheaf):
-        return (-1 - sum(s.multideg), s.k)
-    if isinstance(s, TorsionSheaf):
-        return (-s.length, 0)
-    raise TypeError(f"not a sheaf model: {type(s).__name__}")
+    re = im = 0
+    for part in _parts(s):
+        if isinstance(part, BandSheaf):
+            re -= part.m * sum(part.multideg)
+            im += part.r * part.m * part.n
+        elif isinstance(part, ChainSheaf):
+            re -= 1 + sum(part.multideg)
+            im += part.k
+        else:
+            re -= part.length
+    return (re, im)
 
 
 def phase(s: Summand | SheafObject) -> PhasePoint:
@@ -416,40 +427,29 @@ def pullback(s: Summand | SheafObject, m: int) -> SheafObject:
     to the number of times the new sheet wraps the old one.  Chains and
     torsion points simply acquire one translated copy per sheet.
     """
-    if isinstance(s, SheafObject):
-        parts: list[Summand] = []
-        for x in s.summands:
-            parts.extend(pullback(x, m).summands)
-        return SheafObject(tuple(parts))
-    n = s.n
+    parts = _parts(s)
+    n = parts[0].n
     if m < 1 or m % n != 0:
         raise ValueError(f"no cover: {n} does not divide {m}")
     f = m // n
-    if isinstance(s, BandSheaf):
-        g = gcd(s.r, f)
-        L = s.n * s.r
-        out = []
-        for j in range(g):
-            new_d = tuple(s.multideg[(j * n + t) % L] for t in range(L * f // g))
-            out.append(BandSheaf(m, s.r // g, new_d, s.lam ** (f // g), s.m))
-        return SheafObject(tuple(out))
-    if isinstance(s, ChainSheaf):
-        return SheafObject(
-            tuple(ChainSheaf(m, s.k, s.start + j * n, s.multideg) for j in range(f))
-        )
-    if isinstance(s, TorsionSheaf):
-        pos = s.position
-        out = []
-        for j in range(f):
-            if isinstance(pos, SmoothPoint):
-                moved: SmoothPoint | NodePoint = SmoothPoint(
-                    pos.component + j * n, pos.label
-                )
-            else:
-                moved = NodePoint(pos.index + j * n)
-            out.append(TorsionSheaf(m, moved, s.length))
-        return SheafObject(tuple(out))
-    raise TypeError(f"not a sheaf model: {type(s).__name__}")
+    out: list[Summand] = []
+    for x in parts:
+        if isinstance(x, BandSheaf):
+            g = gcd(x.r, f)
+            L = n * x.r
+            for j in range(g):
+                new_d = tuple(x.multideg[(j * n + t) % L] for t in range(L * f // g))
+                out.append(BandSheaf(m, x.r // g, new_d, x.lam ** (f // g), x.m))
+        elif isinstance(x, ChainSheaf):
+            out.extend(
+                ChainSheaf(m, x.k, x.start + j * n, x.multideg) for j in range(f)
+            )
+        else:
+            out.extend(
+                TorsionSheaf(m, _moved(x.position, j * n, m), x.length)
+                for j in range(f)
+            )
+    return SheafObject(tuple(out))
 
 
 def pushforward(s, n_target: int):
@@ -460,18 +460,20 @@ def pushforward(s, n_target: int):
     component indices.  Euler characteristic and total rank are
     untouched.
     """
-    if isinstance(s, SheafObject):
-        return SheafObject(tuple(pushforward(x, n_target) for x in s.summands))
-    n = s.n
+    parts = _parts(s)
+    n = parts[0].n
     if n_target < 1 or n % n_target != 0:
         raise ValueError(f"no cover: {n_target} does not divide {n}")
-    if isinstance(s, BandSheaf):
-        return BandSheaf(n_target, s.r * (n // n_target), s.multideg, s.lam, s.m)
-    if isinstance(s, ChainSheaf):
-        return ChainSheaf(n_target, s.k, s.start % n_target, s.multideg)
-    if isinstance(s, TorsionSheaf):
-        return TorsionSheaf(n_target, s.position, s.length)
-    raise TypeError(f"not a sheaf model: {type(s).__name__}")
+    out: list[Summand] = []
+    for x in parts:
+        if isinstance(x, BandSheaf):
+            r = x.r * (n // n_target)
+            out.append(BandSheaf(n_target, r, x.multideg, x.lam, x.m))
+        elif isinstance(x, ChainSheaf):
+            out.append(ChainSheaf(n_target, x.k, x.start, x.multideg))
+        else:
+            out.append(TorsionSheaf(n_target, x.position, x.length))
+    return _like(s, out)
 
 
 def galois_translate(s, power: int):
@@ -482,20 +484,15 @@ def galois_translate(s, power: int):
     moves a band by one full sheet, which equality treats as the same
     band.
     """
-    if isinstance(s, SheafObject):
-        return SheafObject(tuple(galois_translate(x, power) for x in s.summands))
-    if isinstance(s, BandSheaf):
-        return BandSheaf(s.n, s.r, _rotated(s.multideg, power), s.lam, s.m)
-    if isinstance(s, ChainSheaf):
-        return ChainSheaf(s.n, s.k, s.start + power, s.multideg)
-    if isinstance(s, TorsionSheaf):
-        pos = s.position
-        if isinstance(pos, SmoothPoint):
-            return TorsionSheaf(
-                s.n, SmoothPoint(pos.component + power, pos.label), s.length
-            )
-        return TorsionSheaf(s.n, NodePoint(pos.index + power), s.length)
-    raise TypeError(f"not a sheaf model: {type(s).__name__}")
+    out: list[Summand] = []
+    for x in _parts(s):
+        if isinstance(x, BandSheaf):
+            out.append(BandSheaf(x.n, x.r, _rotated(x.multideg, power), x.lam, x.m))
+        elif isinstance(x, ChainSheaf):
+            out.append(ChainSheaf(x.n, x.k, x.start + power, x.multideg))
+        else:
+            out.append(TorsionSheaf(x.n, _moved(x.position, power, x.n), x.length))
+    return _like(s, out)
 
 
 def tensor_line(s, deg: tuple[int, ...], mu: Label, triv_only: bool = False):
@@ -506,26 +503,26 @@ def tensor_line(s, deg: tuple[int, ...], mu: Label, triv_only: bool = False):
     torsion sheaves are unchanged.  With triv_only=True only degree-zero
     twists (the Picard-trivial action) are accepted.
     """
-    if isinstance(s, SheafObject):
-        return SheafObject(
-            tuple(tensor_line(x, deg, mu, triv_only) for x in s.summands)
-        )
+    parts = _parts(s)
+    n = parts[0].n
     deg = _int_tuple(deg, "deg")
-    if len(deg) != s.n:
+    if len(deg) != n:
         raise ValueError("deg must have one entry per component")
     if triv_only and any(deg):
         raise ValueError("triv_only twist requires deg = 0")
     if not isinstance(mu, Label):
         raise ValueError("mu must be a Label")
-    if isinstance(s, BandSheaf):
-        new_d = tuple(d + deg[t % s.n] for t, d in enumerate(s.multideg))
-        return BandSheaf(s.n, s.r, new_d, s.lam * mu, s.m)
-    if isinstance(s, ChainSheaf):
-        new_d = tuple(d + deg[(s.start + t) % s.n] for t, d in enumerate(s.multideg))
-        return ChainSheaf(s.n, s.k, s.start, new_d)
-    if isinstance(s, TorsionSheaf):
-        return s
-    raise TypeError(f"not a sheaf model: {type(s).__name__}")
+    out: list[Summand] = []
+    for x in parts:
+        if isinstance(x, BandSheaf):
+            new_d = tuple(d + deg[t % n] for t, d in enumerate(x.multideg))
+            out.append(BandSheaf(n, x.r, new_d, x.lam * mu, x.m))
+        elif isinstance(x, ChainSheaf):
+            new_d = tuple(d + deg[(x.start + t) % n] for t, d in enumerate(x.multideg))
+            out.append(ChainSheaf(n, x.k, x.start, new_d))
+        else:
+            out.append(x)
+    return _like(s, out)
 
 
 def double_shift(s):
@@ -535,9 +532,8 @@ def double_shift(s):
     homological degree, so at this level it is the identity; it exists
     so pipelines can apply the generator explicitly.
     """
-    if isinstance(s, (SheafObject, BandSheaf, ChainSheaf, TorsionSheaf)):
-        return s
-    raise TypeError(f"not a sheaf model: {type(s).__name__}")
+    _parts(s)
+    return s
 
 
 # ---------------------------------------------------------------------------

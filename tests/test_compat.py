@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ngonstab.charges import PhasePoint, add_half_turns
+from ngonstab.charges import PhasePoint, add_half_turns, phase_cmp
 from ngonstab.compat import (
     CompatReport,
     KAuto,
@@ -22,6 +22,7 @@ from ngonstab.compat import (
     order_preserved_brute_force,
     sampled_pairwise_order,
     shift_square_kauto,
+    _box_members,
     _mat_identity,
     _mat_inverse,
     _mat_mul,
@@ -122,6 +123,18 @@ def test_box_sup_witness_is_a_member():
     p, v = box_sup_phase(ROT, 2, 10)
     assert p == PhasePoint(0, (0, -1))  # phase 3/2 = m + 1
     assert v == (0, -1)
+
+
+def test_box_sup_witness_beats_every_other_member():
+    rng = random.Random(11)
+    matrices = [ROT, Mat2.identity(), Mat2(1, 0, 0, -1)]
+    matrices += [random_gamma0(rng, 3) for _ in range(3)]
+    for M in matrices:
+        for box in (2, 5, 9):
+            p, v = box_sup_phase(M, 3, box)
+            assert p == PhasePoint(0, v)
+            others = [u for u in _box_members(M, 3, box) if u != v]
+            assert others and all(phase_cmp(v, u) > 0 for u in others)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from ngonstab.sheaves import (
     pullback,
     pushforward,
     random_corpus,
+    random_label,
     random_object,
     summand_to_json,
     tensor_line,
@@ -492,6 +493,52 @@ def test_object_charge_matches_k_class():
         assert object_charge(obj) == charge(k_class(obj))
         for s in obj.summands:
             assert object_charge(s) == charge(k_class(s)), s
+
+
+FUNCTORS = {
+    "object_charge": object_charge,
+    "k_class": k_class,
+    "phase": phase,
+    "pullback": lambda s: pullback(s, 2),
+    "pushforward": lambda s: pushforward(s, 1),
+    "galois_translate": lambda s: galois_translate(s, 1),
+    "tensor_line": lambda s: tensor_line(s, (0,), ONE),
+    "double_shift": double_shift,
+}
+
+
+@pytest.mark.parametrize("name", FUNCTORS)
+def test_entry_points_refuse_non_models(name):
+    for bad in ("x", None, 3, (ChainSheaf(1, 1, 0, (0,)),), NodePoint(0)):
+        with pytest.raises(TypeError, match="^not a sheaf model: "):
+            FUNCTORS[name](bad)
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=80)
+def test_functors_act_summand_by_summand(seed):
+    rng = random.Random(seed)
+    obj = random_object(rng)
+    n, parts = obj.n, obj.summands
+    power = rng.randint(-7, 7)
+    deg = tuple(rng.randint(-2, 2) for _ in range(n))
+    mu = random_label(rng)
+    down = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+    up = n * rng.randint(1, 3)
+    for functor in (
+        lambda x: galois_translate(x, power),
+        lambda x: tensor_line(x, deg, mu),
+        lambda x: pushforward(x, down),
+        double_shift,
+    ):
+        assert functor(obj) == SheafObject(tuple(functor(x) for x in parts))
+    pulled = [y for x in parts for y in pullback(x, up).summands]
+    assert pullback(obj, up) == SheafObject(tuple(pulled))
+    charges = [object_charge(x) for x in parts]
+    assert object_charge(obj) == tuple(map(sum, zip(*charges)))
+    classes = [k_class(x) for x in parts]
+    ranks = tuple(map(sum, zip(*(k.ranks for k in classes))))
+    assert k_class(obj) == KClass(n, sum(k.chi for k in classes), ranks)
 
 
 def test_verdict_rejects_objects():

@@ -98,6 +98,25 @@ def test_fields_are_frozen(cls, fields):
     assert tuple(getattr(x, name) for name in fields) == tuple(fields.values())
 
 
+INT_FIELDS = [
+    (cls, fields, name)
+    for cls, fields in TABLE
+    for name, ann in cls.__annotations__.items()
+    if ann == "int"
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, name",
+    INT_FIELDS,
+    ids=[f"{cls.__name__}.{name}" for cls, _, name in INT_FIELDS],
+)
+def test_int_fields_refuse_non_integers(cls, fields, name):
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            cls(**{**fields, name: bad})
+
+
 def test_defaults_and_class_constants():
     assert KAuto(1, ((1, 0), (0, 1))).amplitude_certificate is None
     assert BandSheaf(2, 1, (0, 1), A).m == 1
