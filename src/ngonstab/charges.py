@@ -46,23 +46,42 @@ def is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _int_tuple(value: object, what: str) -> tuple[int, ...]:
+    if not isinstance(value, (tuple, list)):
+        raise ValueError(f"{what} must be a sequence of integers")
+    out = tuple(value)
+    for x in out:
+        if not is_int(x):
+            raise ValueError(f"{what} must contain only integers")
+    return out
+
+
+_INT_TUPLE_TYPES = ("tuple[int, ...]", "ChargeVec", tuple[int, ...], ChargeVec)
+
+
 def value_class(cls: type) -> type:
     """Make `cls` a frozen value class over its annotated fields.
 
     Every annotation is a field, in order, so a class constant goes
     unannotated; a class attribute of the same name is the field's
     default.  One `exec` builds `__init__` (refuses any value `is_int`
-    rejects for a field annotated ``int``, assigns every field, then
-    calls `__post_init__` if the class has one), `__eq__` (same class and
-    equal field tuples) and `__hash__` (the hash of the field tuple): the
-    code `dataclass` generates for ``frozen=True``, so equal values
-    compare and hash as they did under it.  `__repr__`, the frozen
-    `__setattr__` and `__delattr__`, and `replace` are shared by every
-    value class.
+    rejects for a field annotated ``int``, stores a field annotated
+    ``tuple[int, ...]`` or ``ChargeVec`` as a tuple after `_int_tuple`'s
+    checks, assigns every field, then calls `__post_init__` if the class
+    has one), `__eq__` (same class and equal field tuples) and
+    `__hash__` (the hash of the field tuple): the code `dataclass`
+    generates for ``frozen=True``, so equal values compare and hash as
+    they did under it.  `__repr__`, the frozen `__setattr__` and
+    `__delattr__`, and `replace` are shared by every value class.
     """
     annotations = cls.__dict__.get("__annotations__", {})
     names = tuple(annotations)
-    ns = {"__name__": cls.__module__, "_set": object.__setattr__, "_is_int": is_int}
+    ns = {
+        "__name__": cls.__module__,
+        "_set": object.__setattr__,
+        "_is_int": is_int,
+        "_int_tuple": _int_tuple,
+    }
     params = []
     body = ""
     for name in names:
@@ -76,6 +95,17 @@ def value_class(cls: type) -> type:
             body += (
                 f"\n    if type({name}) is not int and not _is_int({name}):"
                 f"\n        raise ValueError({name + ' must be an integer'!r})"
+            )
+        elif annotations[name] in _INT_TUPLE_TYPES:
+            # an exact tuple of exact ints passes with one compare per entry
+            body += (
+                f"\n    if type({name}) is tuple:"
+                f"\n        for _x in {name}:"
+                f"\n            if type(_x) is not int:"
+                f"\n                {name} = _int_tuple({name}, {name!r})"
+                f"\n                break"
+                f"\n    else:"
+                f"\n        {name} = _int_tuple({name}, {name!r})"
             )
     own = "".join(f"self.{name}," for name in names)
     other = "".join(f"other.{name}," for name in names)
@@ -149,8 +179,6 @@ class KClass:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-        if not isinstance(self.ranks, tuple):
-            object.__setattr__(self, "ranks", tuple(self.ranks))
         if len(self.ranks) != self.n:
             raise ValueError("ranks must have length n")
 
@@ -234,7 +262,7 @@ class PhasePoint:
     dir: ChargeVec
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dir", primitive(tuple(self.dir)))
+        object.__setattr__(self, "dir", primitive(self.dir))
 
     def sort_key(self) -> tuple:
         return (self.two_shift, _phase_key(self.dir))

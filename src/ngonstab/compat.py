@@ -33,7 +33,6 @@ from .charges import (
     PhasePoint,
     in_h_prime,
     is_int,
-    phase_cmp,
     phase_of_charge,
     phase_sort_key,
     value_class,
@@ -388,7 +387,7 @@ def _sorted_primitive_box(box: int) -> tuple[ChargeVec, ...]:
     return tuple(pts)
 
 
-def _box_members(M: Mat2, n: int, box: int):
+def _box_members(M: Mat2, n: int, box: int) -> list[ChargeVec]:
     """Primitive box vectors of the effective-comparable set, by phase.
 
     The effective cone is modeled as every nonzero lattice vector (each
@@ -396,19 +395,23 @@ def _box_members(M: Mat2, n: int, box: int):
     a member when its charge lies in H', or when the image of -v under
     the plane action M does (the comparable half).  There is no det +1
     gate, so the oracles can also exhibit violations for reflections.
+
+    v -> -v pairs the primitive box vectors in H' with the rest, and H'
+    holds the phases (0, 1], so the first half of the phase-sorted box
+    is exactly its H' vectors.  That half is taken whole; only the
+    second half is filtered.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
+    pts = _sorted_primitive_box(box)
+    half = len(pts) // 2
     a, b, c, d = M.a, M.b, M.c, M.d
-    for v in _sorted_primitive_box(box):
-        x, y = v
-        if y > 0 or (y == 0 and x < 0):
-            yield v
-            continue
-        # -Mv lies in H' iff Mv lies in -H'
-        im = c * x + d * y
-        if im < 0 or (im == 0 and a * x + b * y > 0):
-            yield v
+    # -Mv lies in H' iff Mv lies in -H'
+    return list(pts[:half]) + [
+        v
+        for v in pts[half:]
+        if (im := c * v[0] + d * v[1]) < 0 or (im == 0 and a * v[0] + b * v[1] > 0)
+    ]
 
 
 def order_preserved_brute_force(M: Mat2, n: int, box: int = 25) -> bool:
@@ -420,23 +423,36 @@ def order_preserved_brute_force(M: Mat2, n: int, box: int = 25) -> bool:
     place where the image arc passes the branch cut).  An orientation-
     reversing map reverses the walk and produces descents at almost
     every step.  Like check_order, it accepts M and -M alike.
+
+    The walk orders two images by its own rule, not by the library's
+    phase comparison: an image in H' (phases (0, 1]) comes before one
+    outside it, and two images on the same side, which span less than
+    a half turn, are ordered by the sign of their cross product, 0
+    meaning one ray.
     """
     if M.det not in (1, -1):
         raise ValueError("order check expects an invertible integer matrix")
-    images = [M.matvec(v) for v in _box_members(M, n, box)]
+    a, b, c, d = M.a, M.b, M.c, M.d
+    images = [(a * x + b * y, c * x + d * y) for x, y in _box_members(M, n, box)]
     if len(images) <= 2:
         return True
     descents = 0
-    prev = images[-1]
-    for img in images:
-        step = phase_cmp(prev, img)
-        if step == 0:
-            return False  # two members on one image ray: not injective
-        if step > 0:
+    px, py = images[-1]
+    p_up = py > 0 or (py == 0 and px < 0)
+    for x, y in images:
+        up = y > 0 or (y == 0 and x < 0)
+        if up == p_up:
+            cross = px * y - py * x
+            if cross == 0:
+                return False  # two members on one image ray: not injective
+            descended = cross < 0
+        else:
+            descended = up
+        if descended:
             descents += 1
             if descents > 1:
                 return False
-        prev = img
+        px, py, p_up = x, y, up
     return True
 
 
@@ -474,9 +490,7 @@ def box_sup_phase(M: Mat2, n: int, box: int) -> tuple[PhasePoint, ChargeVec]:
     reach it exactly.  Members arrive in ascending phase with no ties,
     so the last one is the witness.
     """
-    best_v = None
-    for best_v in _box_members(M, n, box):
-        pass
-    if best_v is None:
+    members = _box_members(M, n, box)
+    if not members:
         raise ValueError("no members in the box")
-    return phase_of_charge(best_v), best_v
+    return phase_of_charge(members[-1]), members[-1]

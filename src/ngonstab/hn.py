@@ -49,8 +49,6 @@ class HNSlice:
     def __post_init__(self) -> None:
         if not self.members:
             raise ValueError("slice needs at least one member")
-        object.__setattr__(self, "members", tuple(self.members))
-        object.__setattr__(self, "total_charge", tuple(self.total_charge))
 
     def to_json(self) -> dict:
         return {

@@ -43,6 +43,7 @@ from .charges import (
     ChargeVec,
     KClass,
     PhasePoint,
+    _int_tuple,
     is_int,
     phase_of_charge,
     replace,
@@ -172,16 +173,6 @@ class NodePoint:
 # the three families
 
 
-def _int_tuple(value: object, what: str) -> tuple[int, ...]:
-    if not isinstance(value, (tuple, list)):
-        raise ValueError(f"{what} must be a sequence of integers")
-    out = tuple(value)
-    for x in out:
-        if not is_int(x):
-            raise ValueError(f"{what} must contain only integers")
-    return out
-
-
 def _rotated(seq: tuple[int, ...], by: int) -> tuple[int, ...]:
     # new[(i + by) % L] = old[i]
     cut = -by % len(seq)
@@ -232,7 +223,6 @@ class BandSheaf:
     def __post_init__(self) -> None:
         if self.n < 1 or self.r < 1 or self.m < 1:
             raise ValueError("n, r and m must be positive")
-        object.__setattr__(self, "multideg", _int_tuple(self.multideg, "multideg"))
         if len(self.multideg) != self.n * self.r:
             raise ValueError("multideg must have length n*r")
         object.__setattr__(
@@ -269,7 +259,6 @@ class ChainSheaf:
         if self.k < 1:
             raise ValueError("chain length must be positive")
         object.__setattr__(self, "start", self.start % self.n)
-        object.__setattr__(self, "multideg", _int_tuple(self.multideg, "multideg"))
         if len(self.multideg) != self.k:
             raise ValueError("multideg must have length k")
 

@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ngonstab.charges import PhasePoint, add_half_turns, phase_cmp
+from ngonstab.charges import (
+    PhasePoint,
+    add_half_turns,
+    in_h_prime,
+    phase_cmp,
+    phase_sort_key,
+)
 from ngonstab.compat import (
     CompatReport,
     KAuto,
@@ -26,6 +34,7 @@ from ngonstab.compat import (
     _mat_identity,
     _mat_inverse,
     _mat_mul,
+    _sorted_primitive_box,
 )
 from ngonstab.gamma0 import Mat2, in_gamma0
 from ngonstab.schemas import MAX_K_N, SchemaError, kauto_from_json
@@ -284,6 +293,38 @@ def test_cyclic_oracle_pins_across_boxes(box):
     assert not order_preserved_brute_force(Mat2(0, 1, 1, 0), 1, box)
     assert not order_preserved_brute_force(Mat2(1, 0, 0, -1), 1, box)
     assert order_preserved_brute_force(-Mat2.identity(), 1, box)
+
+
+UNIMODULAR = [
+    Mat2(*e)
+    for e in itertools.product(range(-6, 7), repeat=4)
+    if e[0] * e[3] - e[1] * e[2] in (1, -1)
+]
+
+
+@given(st.sampled_from(UNIMODULAR), st.sampled_from((1, 2)), st.integers(0, 8))
+@settings(max_examples=300)
+def test_cyclic_oracle_matches_its_definition(m, n, box):
+    # order is preserved when the images, in member order, are a rotation
+    # of their phase-sorted order with no two on one ray
+    images = [m.matvec(v) for v in _box_members(m, n, box)]
+    ordered = sorted(images, key=phase_sort_key)
+    keys = [phase_sort_key(v) for v in ordered]
+    distinct = all(p < q for p, q in zip(keys, keys[1:]))
+    cut = images.index(ordered[0]) if images else 0
+    expected = distinct and images[cut:] + images[:cut] == ordered
+    assert order_preserved_brute_force(m, n, box) == expected
+
+
+def test_first_half_of_the_sorted_box_is_h_prime():
+    for box in range(41):
+        pts = _sorted_primitive_box(box)
+        assert list(pts[: len(pts) // 2]) == [v for v in pts if in_h_prime(v)]
+
+
+def test_box_sup_phase_refuses_an_empty_box():
+    with pytest.raises(ValueError, match="no members in the box"):
+        box_sup_phase(Mat2.identity(), 1, 0)
 
 
 def test_cyclic_oracle_handles_negated_representatives():

@@ -117,6 +117,31 @@ def test_int_fields_refuse_non_integers(cls, fields, name):
             cls(**{**fields, name: bad})
 
 
+TUPLE_FIELDS = [
+    (cls, fields, name)
+    for cls, fields in TABLE
+    for name, ann in cls.__annotations__.items()
+    if ann in ("tuple[int, ...]", "ChargeVec")
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, name",
+    TUPLE_FIELDS,
+    ids=[f"{cls.__name__}.{name}" for cls, _, name in TUPLE_FIELDS],
+)
+def test_int_tuple_fields_refuse_non_integers(cls, fields, name):
+    good = fields[name]
+    for bad in ((True, *good[1:]), (1.5, *good[1:])):
+        with pytest.raises(ValueError, match=f"^{name} must contain only integers$"):
+            cls(**{**fields, name: bad})
+    for bad in (None, 7, "01"):
+        with pytest.raises(ValueError, match=f"^{name} must be a sequence of integers$"):
+            cls(**{**fields, name: bad})
+    stored = getattr(cls(**{**fields, name: list(good)}), name)
+    assert type(stored) is tuple and stored == good
+
+
 def test_defaults_and_class_constants():
     assert KAuto(1, ((1, 0), (0, 1))).amplitude_certificate is None
     assert BandSheaf(2, 1, (0, 1), A).m == 1
