@@ -7,12 +7,12 @@ Euler characteristic chi and total rank r to the Gaussian integer
 -chi + i*r, so its image is the full rank-2 lattice no matter what n is.
 
 Phases are never floats here.  A phase is stored as a primitive lattice
-direction together with an even integer shift.  Two directions are
-ordered by sector index and, inside one sector, by the sign of one
-integer cross product (`phase_cmp`); no ratio is ever formed.  The branch
-window is (0, 2] with the discontinuity on the positive real axis:
-directions in the closed upper half plane H' = {im > 0} u {im = 0, re < 0}
-carry phases in (0, 1], their negatives carry (1, 2].
+direction together with an even integer shift.  The branch window is
+(0, 2] with the discontinuity on the positive real axis: directions in
+the closed upper half plane H' = {im > 0} u {im = 0, re < 0} carry
+phases in (0, 1], their negatives carry (1, 2].  So H' comes first, and
+two directions on one side are ordered by the sign of one integer cross
+product (`phase_cmp`); no ratio is ever formed.
 """
 
 from __future__ import annotations
@@ -195,42 +195,22 @@ def charge(k: KClass) -> ChargeVec:
     return (-k.chi, k.rk_tot)
 
 
-# Sector table for the (0, 2] window.  Walking counterclockwise from just
-# above the positive real axis: open first quadrant, positive imaginary
-# axis (phase 1/2), open second quadrant, negative real axis (phase 1),
-# open third quadrant, negative imaginary axis (3/2), open fourth
-# quadrant, positive real axis (phase 2, the branch end).
-def _sector(c: ChargeVec) -> int:
-    x, y = c
-    if y > 0:
-        if x > 0:
-            return 0
-        if x == 0:
-            return 1
-        return 2
-    if y == 0:
-        # x != 0 since (0,0) never reaches here
-        return 3 if x < 0 else 7
-    if x < 0:
-        return 4
-    if x == 0:
-        return 5
-    return 6
-
-
 def phase_cmp(a: ChargeVec, b: ChargeVec) -> int:
     """Compare the phases of two nonzero vectors: -1, 0 or 1.
 
-    The sector index decides first.  Inside one sector every direction
-    lies in an open half plane, so b is counterclockwise of a (larger
-    phase) exactly when the cross product a x b is positive; on an axis
-    sector the cross product is 0.  The vectors need not be primitive:
+    A vector in H' (phases (0, 1]) comes before one outside it (phases
+    (1, 2]).  Two vectors on the same side span less than a half turn,
+    so b has the larger phase exactly when the cross product a x b is
+    positive, and 0 means one ray.  The vectors need not be primitive:
     positive multiples of one direction compare equal.
     """
-    sa, sb = _sector(a), _sector(b)
-    if sa != sb:
-        return -1 if sa < sb else 1
-    cross = a[0] * b[1] - a[1] * b[0]
+    ax, ay = a
+    bx, by = b
+    # in_h_prime written out: a call costs more than the whole comparison
+    a_up = ay > 0 or (ay == 0 and ax < 0)
+    if a_up != (by > 0 or (by == 0 and bx < 0)):
+        return -1 if a_up else 1
+    cross = ax * by - ay * bx
     return (cross < 0) - (cross > 0)
 
 

@@ -456,30 +456,33 @@ def order_preserved_brute_force(M: Mat2, n: int, box: int = 25) -> bool:
     return True
 
 
-def sampled_pairwise_order(
-    M: Mat2, n: int, box: int = 25, samples: int = 2000, seed: int = 0
-) -> dict:
+_SAMPLES = 2000
+
+
+def sampled_pairwise_order(M: Mat2, n: int, box: int = 25, seed: int = 0) -> dict:
     """Seeded random sample of the all-pairs cyclic order check.
 
     The full pairwise scan is quadratic in the box population, so the
-    command-line oracle draws pairs instead; the result reports how many
-    were drawn and how many violated the order.  Both circles are cut,
-    the source one at the first member and the image one at its image,
-    so a pair keeps its order exactly when its triple with the first
-    member keeps its cyclic order.
+    command-line oracle draws `_SAMPLES` pairs instead; the result
+    reports how many were drawn and how many violated the order.  Both
+    circles are cut, the source one at the first member and the image
+    one at its image, so a pair keeps its order exactly when its triple
+    with the first member keeps its cyclic order.
     """
     images = [phase_sort_key(M.matvec(v)) for v in _box_members(M, n, box)]
+    if not images:
+        raise ValueError("no members in the box")
     # members arrive sorted by phase with no ties, so the cut source
     # circle orders them by index; the cut image circle starts at images[0]
     cut = images[0]
     cyclic = [(img < cut, img) for img in images]
     rng = random.Random(seed)
     violations = 0
-    for _ in range(samples):
+    for _ in range(_SAMPLES):
         i, j = sorted((rng.randrange(len(cyclic)), rng.randrange(len(cyclic))))
         if i < j and not cyclic[i] < cyclic[j]:
             violations += 1
-    return {"box": box, "samples": samples, "violations": violations}
+    return {"box": box, "samples": _SAMPLES, "violations": violations}
 
 
 def box_sup_phase(M: Mat2, n: int, box: int) -> tuple[PhasePoint, ChargeVec]:

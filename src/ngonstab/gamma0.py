@@ -26,7 +26,6 @@ from .charges import Slope, value_class
 __all__ = [
     "Mat2",
     "CuspClass",
-    "xgcd",
     "in_gamma0",
     "class_count",
     "cusp_class",
@@ -37,22 +36,6 @@ __all__ = [
     "restrict_partition_to_small_slopes",
     "brute_force_witness_bfs",
 ]
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, x, y) with a*x + b*y = g and g = gcd(a,b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    # invariant: a*old_s + b*old_t == old_r
-    return old_r, old_s, old_t
 
 
 @value_class
@@ -211,24 +194,17 @@ def cusp_class(N: int, s: Slope) -> CuspClass:
 def _complete(p: int, q: int) -> Mat2:
     """Deterministic completion of a coprime column to [[p, u], [q, v]], det 1.
 
-    The second column is normalized by adding multiples of the first so
-    that 0 <= u < |p| when p != 0; for p = 0 the column is (-1, 0).
+    Completions differ by multiples of the first column; the one with
+    0 <= u < |p| is taken when p != 0, and for p = 0 the column is (-1, 0).
     """
     if gcd(p, q) != 1:
         raise ValueError(f"{p}/{q} is not reduced")
     if p == 0:
         # q = +-1; the slopes used here always carry q = 1
         return Mat2(0, -1, q, 0) if q == 1 else Mat2(0, 1, q, 0)
-    g, x, y = xgcd(p, q)
-    assert g == 1
-    u, v = -y, x  # p*v - u*q = p*x + q*y = 1
-    # shift the second column by the first until 0 <= u < |p|
-    shifted = u % abs(p)
-    t = (u - shifted) // p
-    u = shifted
-    v -= t * q
-    assert p * v - u * q == 1
-    return Mat2(p, u, q, v)
+    # det 1 asks p*v - u*q = 1, so u*q = -1 (mod p) and p divides 1 + u*q
+    u = -pow(q, -1, abs(p)) % abs(p)
+    return Mat2(p, u, q, (1 + u * q) // p)
 
 
 def _solve_congruence(alpha: int, beta: int, mod: int) -> int:

@@ -18,6 +18,7 @@ from .charges import (
     PhasePoint,
     compare_phase,
     in_h_prime,
+    phase_cmp,
     phase_of_charge,
     value_class,
 )
@@ -132,7 +133,7 @@ class HNPolygon:
             if not in_h_prime(e):
                 raise ValueError("polygon edges must point into H'")
         for e1, e2 in zip(edges, edges[1:]):
-            if compare_phase(phase_of_charge(e1), phase_of_charge(e2)) != "GT":
+            if phase_cmp(e1, e2) != 1:
                 raise ValueError("edge phases must strictly decrease")
 
     @property

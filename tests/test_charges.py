@@ -224,6 +224,21 @@ def test_phase_cmp_matches_float_phase(a, b):
         assert phase_cmp(a, b) == (-1 if fa < fb else 1)
 
 
+def test_phase_cmp_on_every_pair_of_a_small_box():
+    # every nonzero vector of [-6, 6]^2, primitive or not, so the axes, the
+    # branch ray and positive multiples of one direction all occur
+    vecs = [(x, y) for x in range(-6, 7) for y in range(-6, 7) if (x, y) != (0, 0)]
+    seen = [(v, primitive(v), float_phase(v)) for v in vecs]
+    for a, pa, fa in seen:
+        for b, pb, fb in seen:
+            got = phase_cmp(a, b)
+            if pa == pb:
+                assert got == 0, (a, b)
+            else:
+                assert abs(fa - fb) > 1e-9, (a, b)
+                assert got == (-1 if fa < fb else 1), (a, b)
+
+
 @given(phase_points, phase_points)
 def test_compare_phase_matches_sort_key(a, b):
     ka, kb = a.sort_key(), b.sort_key()

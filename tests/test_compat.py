@@ -327,6 +327,11 @@ def test_box_sup_phase_refuses_an_empty_box():
         box_sup_phase(Mat2.identity(), 1, 0)
 
 
+def test_sampled_pairwise_order_refuses_an_empty_box():
+    with pytest.raises(ValueError, match="no members in the box"):
+        sampled_pairwise_order(Mat2.identity(), 1, 0)
+
+
 def test_cyclic_oracle_handles_negated_representatives():
     # the cyclic walk accepts a matrix and its negative alike, matching
     # the determinant rule
@@ -343,13 +348,13 @@ def test_sampled_pairs_match_cyclic_search():
         if m.det not in (1, -1):
             continue
         checked += 1
-        sampled = sampled_pairwise_order(m, 2, box=6, samples=300, seed=checked)
+        sampled = sampled_pairwise_order(m, 2, box=6, seed=checked)
         assert (sampled["violations"] == 0) == order_preserved_brute_force(m, 2, 6)
         assert (sampled["violations"] == 0) == check_order(m, 2)
 
 
 def test_sampled_pairwise_oracle():
-    clean = sampled_pairwise_order(Mat2.identity(), 1, box=10, samples=500, seed=4)
-    assert clean == {"box": 10, "samples": 500, "violations": 0}
-    dirty = sampled_pairwise_order(Mat2(0, 1, 1, 0), 1, box=10, samples=500, seed=4)
+    clean = sampled_pairwise_order(Mat2.identity(), 1, box=10, seed=4)
+    assert clean == {"box": 10, "samples": 2000, "violations": 0}
+    dirty = sampled_pairwise_order(Mat2(0, 1, 1, 0), 1, box=10, seed=4)
     assert dirty["violations"] > 0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
 
@@ -17,17 +18,22 @@ from ngonstab.gamma0 import (
     enumerate_cusp_classes,
     in_gamma0,
     restrict_partition_to_small_slopes,
-    xgcd,
+    _complete,
 )
 from ngonstab.schemas import SchemaError, mat2_from_json
 
 
-def test_xgcd_invariant():
-    for a in range(-12, 13):
-        for b in range(-12, 13):
-            g, x, y = xgcd(a, b)
-            assert a * x + b * y == g
-            assert g == __import__("math").gcd(a, b)
+def test_complete_is_the_normalised_det_one_column():
+    for p in range(-40, 41):
+        for q in range(0, 41):
+            if gcd(p, q) != 1:
+                with pytest.raises(ValueError, match="not reduced"):
+                    _complete(p, q)
+                continue
+            m = _complete(p, q)
+            assert m.det == 1 and (m.a, m.c) == (p, q), (p, q)
+            if p != 0:
+                assert 0 <= m.b < abs(p), (p, q)
 
 
 # ---------------------------------------------------------------------------

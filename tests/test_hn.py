@@ -111,6 +111,9 @@ def test_polygon_validation():
     with pytest.raises(ValueError):
         # increasing edge phases
         HNPolygon(((0, 0), (0, 1), (-1, 1)))
+    with pytest.raises(ValueError, match="strictly decrease"):
+        # two edges on one ray
+        HNPolygon(((0, 0), (-1, 1), (-3, 3)))
     with pytest.raises(ValueError):
         HNPolygon(())
 

@@ -6,6 +6,10 @@ functor and then taking the class must equal applying the matrix to the
 class: rotations of the curve against `iota_kauto`, the double shift
 against `shift_square_kauto`, and a twist by a line bundle of degree d
 on every component against the lift of the level matrix [[1, d], [0, 1]].
+
+A length-1 torsion point has class e_0 and the chain of one line with
+degree -1 starting on component i - 1 has class e_i, so a functor's
+K-matrix can also be read off its images of these n + 1 objects.
 """
 
 from __future__ import annotations
@@ -17,16 +21,22 @@ from hypothesis import given, settings, strategies as st
 from ngonstab.charges import KClass
 from ngonstab.compat import (
     KAuto,
+    check_compatibility,
+    identity_kauto,
     iota_kauto,
     lift_k_matrix,
     shift_square_kauto,
 )
 from ngonstab.gamma0 import Mat2
 from ngonstab.sheaves import (
+    ChainSheaf,
     Label,
+    SmoothPoint,
+    TorsionSheaf,
     double_shift,
     galois_translate,
     k_class,
+    random_label,
     random_object,
     tensor_line,
 )
@@ -49,3 +59,54 @@ def test_functors_act_by_their_k_matrices(seed, d):
     assert k_class(double_shift(obj)) == act(shift_square_kauto(n), x)
     twisted = tensor_line(obj, (d,) * n, Label.identity())
     assert k_class(twisted) == act(lift_k_matrix(n, Mat2(1, d, 0, 1)), x)
+
+
+def basis(n: int) -> list:
+    """Objects of class e_0, e_1, ..., e_n."""
+    point = TorsionSheaf(n, SmoothPoint(0, "p"), 1)
+    return [point] + [ChainSheaf(n, 1, i, (-1,)) for i in range(n)]
+
+
+def read_off(functor, n: int) -> tuple[tuple[int, ...], ...]:
+    """The K-matrix whose column j is the class of functor(basis(n)[j])."""
+    columns = [k_class(functor(x)) for x in basis(n)]
+    return tuple(zip(*((c.chi, *c.ranks) for c in columns)))
+
+
+def test_basis_objects_have_the_unit_classes():
+    for n in range(1, 7):
+        unit = identity_kauto(n).matrix
+        assert read_off(lambda x: x, n) == unit
+
+
+def test_read_off_matrices_are_the_compat_constructors():
+    for n in range(1, 7):
+        assert read_off(lambda x: galois_translate(x, 1), n) == iota_kauto(n).matrix
+        assert read_off(double_shift, n) == shift_square_kauto(n).matrix
+        for d in range(-3, 4):
+            twist = read_off(lambda x: tensor_line(x, (d,) * n, Label.identity()), n)
+            assert twist == lift_k_matrix(n, Mat2(1, d, 0, 1)).matrix
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+@settings(max_examples=300)
+def test_a_twist_fails_the_kernel_exactly_when_its_degrees_differ(deg):
+    n = len(deg)
+    A = KAuto(n, read_off(lambda x: tensor_line(x, tuple(deg), Label.identity()), n))
+    failed = check_compatibility(A).verdict == "FailsKernel"
+    assert failed == (len(set(deg)) > 1)
+
+
+@given(st.integers(1, 6), st.integers(-8, 8), st.integers(0, 2**32))
+@settings(max_examples=100)
+def test_the_descent_kernel_holds_rotations_trivial_twists_and_double_shift(
+    n, power, seed
+):
+    mu = random_label(random.Random(seed))
+    for functor in (
+        lambda x: galois_translate(x, power),
+        lambda x: tensor_line(x, (0,) * n, mu),
+        double_shift,
+    ):
+        report = check_compatibility(KAuto(n, read_off(functor, n)))
+        assert report.descended == Mat2.identity()
