@@ -1,20 +1,22 @@
 """Command-line front end: one verb per library computation.
 
-JSON is the single interchange format and the default output; `--format
-table` renders the same payload as flat key/value lines for reading,
-never for parsing back.  `--oracle`, on the four verbs that have a
-brute-force cross-check, runs it and reports both answers; `--box` sets
-the lattice radius of the `check-compat` oracles and `--seed` feeds the
-sampled one.  Input is decoded and capped in `schemas`, whose docstring
-states the exit codes.
+JSON is the single interchange format and the default output: two-space
+indented, ASCII-escaped, keys in the order the payload was built, byte
+for byte what json.dumps(payload, indent=2) prints, from one walk of the
+payload (`_dumps`).  `--format table` renders the same payload as flat
+key/value lines for reading, never for parsing back.  `--oracle`, on the
+four verbs that have a brute-force cross-check, runs it and reports both
+answers; `--box` sets the lattice radius of the `check-compat` oracles
+and `--seed` feeds the sampled one.  Input is decoded and capped in
+`schemas`, whose docstring states the exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 from . import schemas
 from .charges import charge, slope_to_phase
@@ -227,26 +229,61 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_table(payload) -> str:
-    lines: list[str] = []
-
-    def walk(prefix: str, value) -> None:
-        if isinstance(value, dict):
-            for key, val in value.items():
-                walk(f"{prefix}.{key}" if prefix else str(key), val)
-        elif isinstance(value, list):
-            if all(not isinstance(x, (dict, list)) for x in value):
-                lines.append(f"{prefix}: {' '.join(str(x) for x in value)}")
-            else:
-                for i, val in enumerate(value):
-                    walk(f"{prefix}[{i}]", val)
+def _walk(lines: list[str], prefix: str, value) -> None:
+    if isinstance(value, dict):
+        for key, val in value.items():
+            _walk(lines, f"{prefix}.{key}" if prefix else str(key), val)
+    elif isinstance(value, list):
+        if all(not isinstance(x, (dict, list)) for x in value):
+            lines.append(f"{prefix}: {' '.join(str(x) for x in value)}")
         else:
-            lines.append(f"{prefix}: {value}")
+            for i, val in enumerate(value):
+                _walk(lines, f"{prefix}[{i}]", val)
+    else:
+        lines.append(f"{prefix}: {value}")
 
+
+def _render_table(payload) -> str:
     if isinstance(payload, (dict, list)):
-        walk("", payload)
+        lines: list[str] = []
+        _walk(lines, "", payload)
         return "\n".join(lines) + "\n"
     return f"{payload}\n"
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """The text json.dumps(value, indent=2) gives, from one walk of value.
+
+    `indent` is the line break and indentation before value's closing
+    bracket.  Dispatch is on exact type: dicts with str keys, lists,
+    tuples, str, int, bool and None; anything else raises TypeError.
+    """
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        # _escape raises TypeError on a key that is not a str
+        items = [_escape(key) + ": " + _dumps(val, inner) for key, val in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        # most items are ints: written here, without a call
+        items = [int.__repr__(x) if type(x) is int else _dumps(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def run(argv=None) -> tuple[int, str]:
@@ -265,7 +302,7 @@ def run(argv=None) -> tuple[int, str]:
         return 1, f"error: {exc}\n"
     if args.format == "table":
         return 0, _render_table(payload)
-    return 0, json.dumps(payload, indent=2) + "\n"
+    return 0, _dumps(payload) + "\n"
 
 
 def main(argv=None) -> int:

@@ -20,6 +20,14 @@ basis (charge(e_0), charge(e_1)) = ((-1, 0), (0, 1)).  The region tests
 (`compute_m`, `check_order` and the box oracles) act on ChargeVec pairs
 (re, im) directly, i.e. in the standard plane basis.  The two differ
 by conjugation with diag(-1, 1); `conjugate_by_D` converts.
+
+The functors of `sheaves` act on K-classes through these matrices: for
+each one, tests/test_k_action.py reads the matrix A_F off the images of
+the n + 1 basis objects and checks k_class(F(x)) == A_F k_class(x) on
+random objects.  Rotation by one component gives `iota_kauto`, the
+double shift `shift_square_kauto`, and the twist by degree d on every
+component the lift of [[1, d], [0, 1]]; `pullback` and `pushforward` give
+the K-maps between levels that sum over, or fold, the sheets of the cover.
 """
 
 from __future__ import annotations

@@ -67,7 +67,8 @@ MAX_DET_WORK = 10_000_000
 # at the cap.
 MAX_BOX = 200
 # classify and rigid print n chains of s degrees each; n*s at the cap is
-# about 1 MB of JSON.
+# 1.13 MB of JSON, which takes about 23 ms to serialize (classify 316
+# --slope=1/316, Python 3.11 on a 2-CPU x86-64 machine).
 MAX_RIGID_DEGREES = 100_000
 # The cusp partition oracle of phase-classes --oracle takes about 1 s at
 # this level.

@@ -31,6 +31,15 @@ intervals and their twisted subsheaves directly.
 Gluing parameters never enter any computed quantity except through
 equality tests, so ``Label`` models them as elements of a free abelian
 group on named symbols rather than as complex numbers.
+
+Every functor acts on K-classes by a matrix: k_class(F(x)) equals A_F
+applied to k_class(x), where column j of A_F is the class of F applied
+to the j-th basis object (a length-one torsion point for e_0, the chain
+of one line of degree -1 on component i - 1 for e_i).  The tests check
+this for rotation, twists and the double shift against the `compat`
+constructors, and for `pullback` (e_0 -> (m/n) e_0, e_i -> the sum of
+e_{i+jn} over the sheets j) and `pushforward` (e_i -> the class of the
+component it folds onto) between levels.
 """
 
 from __future__ import annotations
@@ -343,8 +352,9 @@ class SheafObject:
 def _parts(s: Summand | SheafObject) -> tuple[Summand, ...]:
     """The summands of a model: an object's own, or (s,) for a summand.
 
-    Every entry point below that takes a model walks it through here, so
-    anything else is refused with the one TypeError.
+    Every entry point below that takes a model walks it through here
+    (object_charge only what is not a summand), so anything else is
+    refused with the one TypeError.
     """
     if isinstance(s, (BandSheaf, ChainSheaf, TorsionSheaf)):
         return (s,)
@@ -383,18 +393,20 @@ def object_charge(s: Summand | SheafObject) -> ChargeVec:
     """Central charge (-chi, total rank), read straight off the summand data.
 
     Equal to charges.charge(k_class(s)), without building the length-n
-    rank vector of the K-class.
+    rank vector of the K-class.  Each summand kind has one rule, returned
+    directly for a summand; a direct sum adds its summands' charges.
     """
+    if isinstance(s, ChainSheaf):
+        return (-1 - sum(s.multideg), s.k)
+    if isinstance(s, BandSheaf):
+        return (-s.m * sum(s.multideg), s.r * s.m * s.n)
+    if isinstance(s, TorsionSheaf):
+        return (-s.length, 0)
     re = im = 0
     for part in _parts(s):
-        if isinstance(part, BandSheaf):
-            re -= part.m * sum(part.multideg)
-            im += part.r * part.m * part.n
-        elif isinstance(part, ChainSheaf):
-            re -= 1 + sum(part.multideg)
-            im += part.k
-        else:
-            re -= part.length
+        a, b = object_charge(part)
+        re += a
+        im += b
     return (re, im)
 
 
