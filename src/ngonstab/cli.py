@@ -53,18 +53,17 @@ __all__ = ["main", "run"]
 
 
 def _capped(cap: int, what: str):
-    """Argparse type for a positive integer that is refused above cap."""
+    """Argparse type for a positive integer that is refused above cap; it
+    raises only ArgumentTypeError, as argparse lets a SchemaError escape."""
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < 1:
-            raise argparse.ArgumentTypeError("expected a positive integer")
-        if value > cap:
-            raise argparse.ArgumentTypeError(f"{what} above the cap of {cap}")
-        return value
+            value = schemas.parse_integer(text)
+            if value < 1:
+                raise ValueError("expected a positive integer")
+            return check_cap(value, cap, what)
+        except (ValueError, schemas.SchemaError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
@@ -196,6 +195,8 @@ def _oracle_verdict(part):
 @_verb("semistable", "stability verdict per summand", _OBJECT, _ORACLE)
 def _cmd_semistable(args):
     obj = schemas.object_from_json(schemas.load_json(args.file))
+    if args.oracle:
+        check_cap(len(obj.summands), schemas.MAX_ORACLE_VERDICTS, "oracle verdicts")
     rows = []
     for idx, part in enumerate(obj.summands):
         row = {

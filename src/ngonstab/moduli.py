@@ -7,10 +7,10 @@ with s dividing n.  At that representative the stable locus has a
 positive-dimensional part, a copy of the s-cycle curve swept out by
 pulled-back line bundles, together with n isolated points: chains of
 length s carrying one fixed balanced degree vector, translated around
-the curve.  This module computes the representative, transports the
-stable charge vectors back to the phase that was asked about, and
-materializes the rigid chains so their stability can be checked rather
-than believed.
+the curve.  A description stores the phase, its level, its class and
+the witness; the stable charges are read off the phase direction and
+the rigid chains are built, and their stability checked rather than
+believed, from the representative.
 
 The balanced degree vector is unique: writing P_t for its prefix sums,
 stability of a length-s chain of total degree r - 1 against prefix and
@@ -103,43 +103,24 @@ def stable_vb_construct(
     return up.summands[0]
 
 
-def _transport_charge(witness: Mat2, chi: int, rk: int) -> ChargeVec:
-    # The witness moves the queried slope to the representative; its
-    # inverse carries (chi, rank) columns back, up to an overall sign
-    # fixed by landing in H'.
-    num, den = witness.inv().matvec((chi, rk))
-    c: ChargeVec = (-num, den)
-    if not in_h_prime(c):
-        c = (num, -den)
-    assert in_h_prime(c)
-    return c
-
-
 @value_class
 class ModuliDescription:
     """Everything the classification pins down for one phase.
 
-    stable_charges holds the charge vectors, at the phase actually
-    queried, of the positive-component bundles and of the rigid points.
-    All other fields depend only on the class of the phase, and the
-    properties are read off the representative r/s.
+    The phase's class at level n is the representative r/s, and the
+    witness moves the phase's slope there; every other value is read off
+    these fields.
     """
 
     n: int
     phase: PhasePoint
     representative: CuspClass
     witness: Mat2
-    rigid_points: tuple[ChainSheaf, ...]
-    stable_charges: tuple[ChargeVec, ChargeVec]
 
     galois_note = (
         "Z/nZ acts transitively on rigid points; "
         "factors through Gal(E_s → E_1) on E_s"
     )
-
-    def __post_init__(self) -> None:
-        if len(self.rigid_points) != self.n:
-            raise ValueError("expected one rigid point per component")
 
     @property
     def s(self) -> int:
@@ -149,6 +130,25 @@ class ModuliDescription:
     def positive_component(self) -> str:
         """Display name of the s-cycle curve, E with subscript s."""
         return "E" + str(self.s).translate(_SUB)
+
+    @property
+    def rigid_points(self) -> tuple[ChainSheaf, ...]:
+        """The n stable chains of length s at the representative."""
+        return enumerate_rigid(self.n, self.representative.a, self.s)
+
+    @property
+    def stable_charges(self) -> tuple[ChargeVec, ChargeVec]:
+        """(vector_bundle, rigid) = ((n/s)·dir, dir), dir the phase direction in H'.
+
+        These are the representative's (chi, rank) columns (nr/s, n) and
+        (r, s) carried back by the witness w: w(p, q) = ±(r, s) for the slope
+        p/q of dir, so w⁻¹(r, s) = ±(p, q), and w⁻¹(nr/s, n) is n/s times that.
+        """
+        re, im = self.phase.dir
+        if not in_h_prime((re, im)):
+            re, im = -re, -im
+        m = self.n // self.s
+        return ((m * re, m * im), (re, im))
 
     @property
     def rigid_count(self) -> int:
@@ -192,15 +192,4 @@ def classify(n: int, a: PhasePoint) -> ModuliDescription:
     component, which is why torsion_class is always true there.
     """
     cls, witness = phase_representative(n, a)
-    s, r = cls.c, cls.a
-    rigid = enumerate_rigid(n, r, s)
-    vb_charge = _transport_charge(witness, n * r // s, n)
-    rigid_charge = _transport_charge(witness, r, s)
-    return ModuliDescription(
-        n=n,
-        phase=a,
-        representative=cls,
-        witness=witness,
-        rigid_points=rigid,
-        stable_charges=(vb_charge, rigid_charge),
-    )
+    return ModuliDescription(n=n, phase=a, representative=cls, witness=witness)

@@ -2,7 +2,7 @@
 
 Outside input reaches the library only through this module: files are
 read as JSON here and decode into 2x2 matrices, K-matrices and sheaf
-objects, command-line text into slopes and gluing labels, and every
+objects, command-line text into integers, slopes and gluing labels, and every
 size an input asks for is checked against a cap below before anything
 of that size is built.  The library modules never import this one; they
 raise ValueError.
@@ -43,6 +43,7 @@ __all__ = [
     "load_json",
     "mat2_from_json",
     "object_from_json",
+    "parse_integer",
     "parse_label",
     "parse_slope",
 ]
@@ -74,10 +75,12 @@ MAX_RIGID_DEGREES = 100_000
 # this level.
 MAX_ORACLE_LEVEL = 150
 # semistable --oracle reports null above these: the chain oracle is cubic
-# in the chain length k (7 ms at the cap), the band oracle exponential in
-# the cycle length n*r.
+# in the chain length k (7-10 ms at the cap), the band oracle exponential
+# in the cycle length n*r.  It refuses files of more summands than
+# MAX_ORACLE_VERDICTS, about 1 s of chains at the chain cap.
 MAX_ORACLE_CHAIN = 100
 MAX_ORACLE_BAND = 6
+MAX_ORACLE_VERDICTS = 100
 # hn --oracle builds every subset sum of the summand charges, the most
 # that hn.brute_force_polygon accepts.
 MAX_ORACLE_SUMMANDS = 16
@@ -101,9 +104,14 @@ def check_cap(value: int, cap: int, what: str) -> int:
     return value
 
 
-def _integer(text: str) -> int:
-    """int(text), refused above MAX_INT_DIGITS digits before it is converted."""
-    if len(text.strip().lstrip("+-")) > MAX_INT_DIGITS:
+def parse_integer(text: str) -> int:
+    """An optional sign and ASCII digits as an int; ValueError, as int()
+    raises, for anything else (int() also takes '1_2', spaces and other
+    scripts' digits), SchemaError above MAX_INT_DIGITS digits."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    if len(digits) > MAX_INT_DIGITS:
         raise SchemaError(f"integer above the cap of {MAX_INT_DIGITS} digits")
     return int(text)
 
@@ -273,7 +281,7 @@ def parse_slope(text: str) -> Slope:
         return Slope.infinity()
     num, slash, den = text.partition("/")
     try:
-        return Slope(_integer(num), _integer(den) if slash else 1)
+        return Slope(parse_integer(num), parse_integer(den) if slash else 1)
     except ValueError:
         raise SchemaError(f"not a slope: {text!r}") from None
 
@@ -287,7 +295,8 @@ def parse_label(text: object) -> Label:
     for part in text.split("*") if text != "1" else ():
         name, caret, exp = part.partition("^")
         try:
-            factors += Label(((name.strip(), _integer(exp) if caret else 1),)).powers
+            power = parse_integer(exp) if caret else 1
+            factors += Label(((name.strip(), power),)).powers
         except ValueError:
             raise SchemaError(f"bad label factor {part!r}") from None
     return Label(tuple(factors))

@@ -24,6 +24,7 @@ from ngonstab.schemas import (
     MAX_ORACLE_CHAIN,
     MAX_ORACLE_LEVEL,
     MAX_ORACLE_SUMMANDS,
+    MAX_ORACLE_VERDICTS,
     MAX_RIGID_DEGREES,
 )
 
@@ -476,6 +477,45 @@ def test_semistable_oracle_skips_long_chains(tmp_path):
     rows = json.loads(text)["verdicts"]
     assert [r["verdict"] for r in rows] == ["Stable", "Stable"]
     assert [r["oracle_verdict"] for r in rows] == ["Stable", None]
+
+
+def test_semistable_oracle_work_is_capped(tmp_path, capsys):
+    # every summand a chain at MAX_ORACLE_CHAIN: the costliest literal verdict
+    chain = {"type": "chain", "k": MAX_ORACLE_CHAIN, "start": 0, "multideg": [0] * MAX_ORACLE_CHAIN}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"n": 3, "summands": [chain] * (MAX_ORACLE_VERDICTS + 1)}))
+    code, text, seconds = timed_run(["semistable", str(path), "--oracle"])
+    assert code == 2 and seconds < 0.5
+    assert text == f"error: oracle verdicts above the cap of {MAX_ORACLE_VERDICTS}\n"
+    assert run(["semistable", str(path)])[0] == 0
+    # the cap itself runs the oracle on every summand
+    point = {"type": "torsion", "position": NODE, "length": 1}
+    path.write_text(json.dumps({"n": 2, "summands": [point] * MAX_ORACLE_VERDICTS}))
+    code, text = run(["semistable", str(path), "--oracle"])
+    assert code == 0 and len(json.loads(text)["verdicts"]) == MAX_ORACLE_VERDICTS
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1_2", "\uff11\uff12", "\u0663", "+\u0661\u0662"],
+    ids=["underscore", "fullwidth", "arabic-indic", "signed-arabic-indic"],
+)
+def test_integers_are_a_sign_and_ascii_digits(text, tmp_path, capsys):
+    # int() takes every one of these texts; no command-line integer does
+    assert int(text) in (12, 3)
+    band = {"type": "band", "r": 1, "multideg": [0], "lambda": f"a^{text}"}
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps({"n": 1, "summands": [band]}))
+    for argv in (
+        ["reduce", text, "--slope=1/2"],
+        ["reduce", "12", f"--slope={text}/5"],
+        ["reduce", "12", f"--slope=5/{text}"],
+        ["check-compat", data("iota3.json"), "--box", text],
+        ["charge", str(path)],
+    ):
+        assert run(argv)[0] == 2, argv
+    capsys.readouterr()
+    assert run(["reduce", "+12", "--slope=-3/+4"])[0] == 0
 
 
 def test_band_cycle_is_capped(tmp_path, capsys):

@@ -29,7 +29,7 @@ ROOT = SRC.parent.parent
 UNREACHED = {
     "exhaustive_chain_verdict": "literal oracle the chain verdict tests compare against",
     "brute_force_witness_bfs": "literal oracle the canonicalization tests compare against",
-    "stable_vb_construct": "waits for its caller, the moduli oracle of ROADMAP item 3",
+    "stable_vb_construct": "waits for its caller, the moduli oracle of ROADMAP item 2",
 }
 
 
@@ -79,6 +79,28 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             ):
                 unreached.add(public)
     assert unreached == set(UNREACHED)
+
+
+def test_every_private_definition_is_read_in_the_library():
+    """A module-level private function or class must be read somewhere in
+    src/ outside its own definition, so a refactor leaves no dead helper.
+    A decorated definition counts as read: the decorator uses it."""
+    uses = {path: _uses(path) for path in SRC.glob("*.py")}
+    dead = set()
+    for path in uses:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = stmt.name
+            if not name.startswith("_") or stmt.decorator_list:
+                continue
+            if not any(
+                name in used and not (other == path and defined == name)
+                for other, stmts in uses.items()
+                for defined, used in stmts
+            ):
+                dead.add(f"{path.name}: {name}")
+    assert sorted(dead) == []
 
 
 def _passed(call: ast.Call, params: list[str]) -> set[str]:

@@ -6,7 +6,13 @@ from math import gcd
 
 import pytest
 
-from ngonstab.charges import PhasePoint, Slope, add_half_turns, slope_to_phase
+from ngonstab.charges import (
+    PhasePoint,
+    Slope,
+    add_half_turns,
+    in_h_prime,
+    slope_to_phase,
+)
 from ngonstab.gamma0 import CuspClass, cusp_class, cusp_equivalent, in_gamma0
 from ngonstab.moduli import (
     classify,
@@ -149,6 +155,45 @@ def test_classify_torsion_class():
     inf = classify(2, PhasePoint(0, (-1, 0)))
     assert inf.torsion_class
     assert inf.stable_charges[0] == (-1, 0)
+
+
+def _transported(witness, chi, rk):
+    """Reference: carry the representative's (chi, rank) column back to
+    the queried slope through the witness's inverse, signed into H'."""
+    num, den = witness.inv().matvec((chi, rk))
+    return (-num, den) if in_h_prime((-num, den)) else (num, -den)
+
+
+def test_stable_charges_match_the_witness_transport():
+    rng = random.Random(16)
+    for _ in range(2000):
+        n = rng.randint(1, 60)
+        d = (rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+        if d == (0, 0):
+            d = (0, -1)
+        phase = PhasePoint(rng.randint(-3, 3), d)
+        desc = classify(n, phase)
+        r, s = desc.representative.a, desc.s
+        expected = (
+            _transported(desc.witness, n * r // s, n),
+            _transported(desc.witness, r, s),
+        )
+        assert desc.stable_charges == expected, (n, phase)
+        # the half-turn, outside H' when phase.dir is in it, reads the same
+        turned = classify(n, add_half_turns(phase, 1))
+        assert turned.stable_charges == expected, (n, phase)
+    assert classify(6, PhasePoint(2, (1, -2))).stable_charges == ((-3, 6), (-1, 2))
+
+
+def test_rigid_points_are_the_enumerated_locus():
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(1, 60)
+        phase = PhasePoint(rng.randint(-3, 3), (rng.randint(-99, 99), rng.randint(1, 99)))
+        desc = classify(n, phase)
+        rigid = enumerate_rigid(n, desc.representative.a, desc.s)
+        assert desc.rigid_points == rigid
+        assert len(desc.rigid_points) == desc.rigid_count == n
 
 
 def test_classify_point_curve():

@@ -34,8 +34,6 @@ MODULI_FIELDS = {
     "phase": DESCRIPTION.phase,
     "representative": DESCRIPTION.representative,
     "witness": DESCRIPTION.witness,
-    "rigid_points": DESCRIPTION.rigid_points,
-    "stable_charges": DESCRIPTION.stable_charges,
 }
 
 # Each class with its fields, in declaration order, as stored canonical.
