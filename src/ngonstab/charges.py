@@ -71,8 +71,8 @@ def value_class(cls: type) -> type:
     has one), `__eq__` (same class and equal field tuples) and
     `__hash__` (the hash of the field tuple): the code `dataclass`
     generates for ``frozen=True``, so equal values compare and hash as
-    they did under it.  `__repr__`, the frozen `__setattr__` and
-    `__delattr__`, and `replace` are shared by every value class.
+    they did under it.  `__repr__` and the frozen `__setattr__` and
+    `__delattr__` are shared by every value class.
     """
     annotations = cls.__dict__.get("__annotations__", {})
     names = tuple(annotations)
@@ -144,13 +144,6 @@ def _frozen_setattr(self, name: str, value: object) -> None:
 
 def _frozen_delattr(self, name: str) -> None:
     raise AttributeError(f"cannot delete field {name!r}")
-
-
-def replace(obj, **changes):
-    """A copy of a value object with the named fields changed; the copy
-    goes through the constructor, so it is checked and canonical."""
-    fields = {name: getattr(obj, name) for name in obj._fields}
-    return type(obj)(**{**fields, **changes})
 
 
 def in_h_prime(c: ChargeVec) -> bool:

@@ -31,7 +31,6 @@ from .gamma0 import (
     brute_force_cusp_partition,
     class_count,
     cusp_canonicalize,
-    cusp_class,
     enumerate_cusp_classes,
     restrict_partition_to_small_slopes,
 )
@@ -52,20 +51,29 @@ from .sheaves import (
 __all__ = ["main", "run"]
 
 
-def _capped(cap: int, what: str):
-    """Argparse type for a positive integer that is refused above cap; it
-    raises only ArgumentTypeError, as argparse lets a SchemaError escape."""
+def _argument(parse):
+    """Argparse type from parse, a function of the argument text; it raises
+    only ArgumentTypeError, as argparse lets a SchemaError escape."""
 
-    def parse(text: str) -> int:
+    def typed(text: str) -> int:
         try:
-            value = schemas.parse_integer(text)
-            if value < 1:
-                raise ValueError("expected a positive integer")
-            return check_cap(value, cap, what)
+            return parse(text)
         except (ValueError, schemas.SchemaError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
-    return parse
+    return typed
+
+
+def _capped(cap: int, what: str):
+    """Argparse type for a positive integer that is refused above cap."""
+
+    def parse(text: str) -> int:
+        value = schemas.parse_integer(text)
+        if value < 1:
+            raise ValueError("expected a positive integer")
+        return check_cap(value, cap, what)
+
+    return _argument(parse)
 
 
 # The verb table: verb -> (handler, help, arguments), each argument a
@@ -87,7 +95,11 @@ _SLOPE = ("--slope", dict(required=True, help="p/q, an integer, or inf"))
 _OBJECT = ("file", dict(help="sheaf object JSON file"))
 _ORACLE = ("--oracle", dict(action="store_true", help="also run the oracle"))
 _BOX = ("--box", dict(type=_capped(schemas.MAX_BOX, "box radius"), default=25))
-_SEED = ("--seed", dict(type=int, default=0, help="seed for the sampled oracle"))
+_SEED = (
+    "--seed",
+    dict(type=_argument(schemas.parse_integer), default=0,
+         help="seed for the sampled oracle"),
+)
 _KMATRIX = ("file", dict(help="K-matrix JSON file"))
 _K_LEVEL = ("n", dict(type=_capped(schemas.MAX_K_N, "level")))
 _MATRIX = ("file", dict(help="2x2 matrix JSON file"))
@@ -118,10 +130,9 @@ def _cmd_reduce(args):
 # classify and rigid print n rigid chains of length s
 @_verb("classify", "describe the stable moduli at a phase", _LEVEL, _SLOPE)
 def _cmd_classify(args):
-    slope = schemas.parse_slope(args.slope)
-    s = cusp_class(args.n, slope).c
-    check_cap(args.n * s, schemas.MAX_RIGID_DEGREES, "n*s")
-    return classify(args.n, slope_to_phase(slope)).to_json()
+    desc = classify(args.n, slope_to_phase(schemas.parse_slope(args.slope)))
+    check_cap(args.n * desc.s, schemas.MAX_RIGID_DEGREES, "n*s")
+    return desc.to_json()
 
 
 @_verb("rigid", "the isolated stable chains at a phase class", _LEVEL, _SLOPE)
@@ -137,7 +148,7 @@ def _cmd_check_compat(args):
     auto = schemas.kauto_from_json(schemas.load_json(args.file))
     report = check_compatibility(auto)
     payload = report.to_json()
-    if args.oracle and report.descended is not None and report.det_plus_one:
+    if args.oracle and report.descended is not None:
         plane = conjugate_by_D(report.descended)
         payload["order_oracle"] = {
             "shortcut": report.order_preserved,
@@ -287,7 +298,7 @@ def _dumps(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def run(argv=None) -> tuple[int, str]:
+def run(argv) -> tuple[int, str]:
     """Parse, dispatch, and serialize; returns (exit code, output text)."""
     parser = _build_parser()
     try:

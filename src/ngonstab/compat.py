@@ -422,7 +422,7 @@ def _box_members(M: Mat2, n: int, box: int) -> list[ChargeVec]:
     ]
 
 
-def order_preserved_brute_force(M: Mat2, n: int, box: int = 25) -> bool:
+def order_preserved_brute_force(M: Mat2, n: int, box: int) -> bool:
     """Check strict cyclic order preservation on all primitive box members.
 
     Distinct primitive vectors occupy distinct rays, so members arrive
@@ -467,7 +467,7 @@ def order_preserved_brute_force(M: Mat2, n: int, box: int = 25) -> bool:
 _SAMPLES = 2000
 
 
-def sampled_pairwise_order(M: Mat2, n: int, box: int = 25, seed: int = 0) -> dict:
+def sampled_pairwise_order(M: Mat2, n: int, box: int, seed: int = 0) -> dict:
     """Seeded random sample of the all-pairs cyclic order check.
 
     The full pairwise scan is quadratic in the box population, so the

@@ -8,12 +8,12 @@ shows the two cusps are equivalent exactly when that residue matches,
 which is where the invariant comes from; the count over all classes is
 then sum over divisors c | N of phi(gcd(c, N/c)).
 
-Besides the closed form, this module carries two deliberately dumb
-cross-checks: a union-find orbit partition driven only by the generators
-T = [[1,1],[0,1]] and V = [[1,0],[N,1]] (every union it makes is a real
-group element, so it can only ever be too coarse, never too fine), and a
-plain breadth-first witness search over the same generators.  The test
-suite holds the closed form to both.
+Besides the closed form, this module carries one deliberately dumb
+cross-check: a union-find orbit partition of bounded-denominator slopes
+under a batch of individually verified level-N matrices (every union it
+makes is a real group element, so it can only ever be too fine, never
+too coarse).  The test suite holds the closed form to it, and checks
+every witness by applying it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "enumerate_cusp_classes",
     "brute_force_cusp_partition",
     "restrict_partition_to_small_slopes",
-    "brute_force_witness_bfs",
 ]
 
 
@@ -380,46 +379,3 @@ def restrict_partition_to_small_slopes(N: int, uf: _UnionFind) -> dict[Slope, ob
             if gcd(a, c) == 1:
                 out[Slope(a, c)] = uf.find((c, a))
     return out
-
-
-def brute_force_witness_bfs(N: int, s: Slope) -> Mat2 | None:
-    """Breadth-first witness search over {T, T^-1, V, V^-1} to the canonical rep.
-
-    Expansion order is fixed (the generator list below), which makes the
-    found witness deterministic.  Returns None if the representative is
-    not reached within 12 steps or 50,000 visited slopes.
-    """
-    target = cusp_class(N, s).slope
-    gens = [
-        Mat2.translation(1),
-        Mat2.translation(-1),
-        Mat2.lower_translation(N),
-        Mat2.lower_translation(-N),
-    ]
-    start = (s.num, s.den)
-    frontier: list[tuple[tuple[int, int], Mat2]] = [(start, Mat2.identity())]
-    seen = {start}
-    if s == target:
-        return Mat2.identity()
-    for _ in range(12):
-        nxt: list[tuple[tuple[int, int], Mat2]] = []
-        for (num, den), word in frontier:
-            cur = Slope(num, den)
-            for gen in gens:
-                image = gen.moebius(cur)
-                key = (image.num, image.den)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if len(seen) > 50_000:
-                    return None
-                new_word = gen @ word
-                if image == target:
-                    assert in_gamma0(new_word, N)
-                    assert new_word.moebius(s) == target
-                    return new_word
-                nxt.append((key, new_word))
-        frontier = nxt
-        if not frontier:
-            break
-    return None

@@ -55,7 +55,6 @@ from .charges import (
     _int_tuple,
     is_int,
     phase_of_charge,
-    replace,
     value_class,
 )
 
@@ -645,78 +644,60 @@ def brute_force_chain_verdict(c: ChainSheaf) -> str:
 def exhaustive_chain_verdict(c: ChainSheaf) -> str:
     """Literal sub-multidegree enumeration, down to two twists below each
     restricted degree; cost grows as 3^k."""
-    k, d = c.k, c.multideg
-    total = 1 + sum(d)
-    saw_equal = False
-    saw_over = False
-    for i in range(k):
-        for j in range(i, k):
-            if i == 0 and j == k - 1:
-                continue
-            ell = j - i + 1
-            req = [0] * ell
-            if i > 0:
-                req[0] += 1
-            if j < k - 1:
-                req[-1] += 1
-            ranges = [
-                range(d[i + t] - req[t] - 2, d[i + t] - req[t] + 1)
-                for t in range(ell)
-            ]
-            for sub in product(*ranges):
-                chi_sub = 1 + sum(sub)
-                if chi_sub * k > total * ell:
-                    saw_over = True
-                elif chi_sub * k == total * ell:
-                    saw_equal = True
-    if saw_over:
-        return UNSTABLE
-    return SEMISTABLE if saw_equal else STABLE
+    k = c.k
+    spans = [
+        (i, j - i + 1, i > 0, j < k - 1)
+        for i in range(k)
+        for j in range(i, k)
+        if i > 0 or j < k - 1
+    ]
+    return _literal_verdict(c.multideg, 1 + sum(c.multideg), spans, 2)
 
 
 def brute_force_band_verdict(b: BandSheaf, twist_depth: int = 2) -> str:
     """Band verdict by enumerating twisted interval subsheaves on the cycle.
 
-    Shares the multiplicity and periodicity reductions with the closed
-    test (they are definitional: both produce equal-slope summands or
-    extensions) and then searches the indecomposable core's covering
-    cycle literally: every proper interval, every twist of the restricted
-    degrees below the two mandatory boundary cuts.  Exponential in the
-    interval length, intended for n*r <= 6.
+    Takes the multiplicity and periodicity reductions as `_band_verdict`
+    states them (they are definitional: both produce equal-slope summands
+    or extensions) and searches the core, the first n*q degrees for the
+    period q, literally: every proper interval of its covering cycle,
+    every twist of the restricted degrees below the two mandatory
+    boundary cuts.  Exponential in the interval length, intended for
+    n*r <= 6.
     """
-    if b.m > 1:
-        core = brute_force_band_verdict(replace(b, m=1), twist_depth)
-        return UNSTABLE if core == UNSTABLE else SEMISTABLE
     q = b.period
-    if q < b.r:
-        piece = BandSheaf(b.n, q, b.multideg[: b.n * q], b.lam, 1)
-        core = brute_force_band_verdict(piece, twist_depth)
-        return UNSTABLE if core == UNSTABLE else SEMISTABLE
-    N = b.n * b.r
-    if N == 1:
-        return STABLE
-    d = b.multideg
-    total = sum(d)
+    d = b.multideg[: b.n * q]
+    N = len(d)
+    spans = [(i, ell, 1, 1) for i in range(N) for ell in range(1, N)]
+    core = _literal_verdict(d, sum(d), spans, twist_depth)
+    return SEMISTABLE if core == STABLE and (b.m > 1 or q < b.r) else core
+
+
+def _literal_verdict(
+    d: tuple[int, ...], chi: int, spans: list[tuple[int, int, int, int]], depth: int
+) -> str:
+    """Verdict of a sheaf of Euler characteristic chi over the len(d)
+    components with degrees d, from its subsheaves on the given spans.
+
+    Each span (start, length, left cut, right cut) reads d cyclically
+    from start; every degree restricted to it drops by the cuts at its
+    ends (both on the one component of a length-one span) and then by
+    0 to depth further twists, and each resulting line bundle is
+    compared with the whole by cross-multiplication.
+    """
+    N = len(d)
     saw_equal = False
     saw_over = False
-    for i in range(N):
-        for ell in range(1, N):
-            req = [0] * ell
-            req[0] += 1
-            req[-1] += 1  # ell == 1 piles both cuts on the single component
-            ranges = [
-                range(
-                    d[(i + t) % N] - req[t] - twist_depth,
-                    d[(i + t) % N] - req[t] + 1,
-                )
-                for t in range(ell)
-            ]
-            for sub in product(*ranges):
-                chi_sub = 1 + sum(sub)
-                if chi_sub * N > total * ell:
-                    saw_over = True
-                elif chi_sub * N == total * ell:
-                    saw_equal = True
+    for start, ell, left, right in spans:
+        top = [d[(start + t) % N] for t in range(ell)]
+        top[0] -= left
+        top[-1] -= right
+        for sub in product(*(range(x - depth, x + 1) for x in top)):
+            chi_sub = 1 + sum(sub)
+            if chi_sub * N > chi * ell:
+                saw_over = True
+            elif chi_sub * N == chi * ell:
+                saw_equal = True
     if saw_over:
         return UNSTABLE
     return SEMISTABLE if saw_equal else STABLE

@@ -21,6 +21,7 @@ from ngonstab.schemas import (
     MAX_INT_DIGITS,
     MAX_K_N,
     MAX_N,
+    MAX_ORACLE_BAND,
     MAX_ORACLE_CHAIN,
     MAX_ORACLE_LEVEL,
     MAX_ORACLE_SUMMANDS,
@@ -173,6 +174,19 @@ def test_semistable_with_oracle():
     rows = json.loads(text)["verdicts"]
     assert [r["verdict"] for r in rows] == ["Stable", "StrictlySemistable"]
     assert all(r["oracle_verdict"] == r["verdict"] for r in rows)
+
+
+def test_semistable_oracle_on_bands():
+    # by sort order: a band on the 1-cycle, one with m = 2, one whose
+    # period 2 is below r = 4, and one with n*r above MAX_ORACLE_BAND
+    assert 1 * 7 > MAX_ORACLE_BAND >= 1 * 4
+    code, text = run(["semistable", data("bands.json"), "--oracle"])
+    assert code == 0
+    rows = json.loads(text)["verdicts"]
+    assert [r["verdict"] for r in rows] == [
+        "Stable", "StrictlySemistable", "Unstable", "Stable"
+    ]
+    assert [r["oracle_verdict"] for r in rows] == [r["verdict"] for r in rows[:3]] + [None]
 
 
 def test_hn_oracle_polygon_agrees():
@@ -516,6 +530,14 @@ def test_integers_are_a_sign_and_ascii_digits(text, tmp_path, capsys):
         assert run(argv)[0] == 2, argv
     capsys.readouterr()
     assert run(["reduce", "+12", "--slope=-3/+4"])[0] == 0
+
+
+@pytest.mark.parametrize("seed", ["1_0", "\u0663", " 7"])
+def test_seed_is_a_sign_and_ascii_digits(seed, capsys):
+    argv = ["check-compat", data("iota3.json"), "--oracle", "--box", "3", "--seed"]
+    assert run([*argv, seed])[0] == 2
+    assert "argument --seed: not an integer" in capsys.readouterr().err
+    assert run([*argv, "-7"])[0] == run([*argv, "0"])[0] == 0
 
 
 def test_band_cycle_is_capped(tmp_path, capsys):

@@ -28,7 +28,6 @@ ROOT = SRC.parent.parent
 # Public names that only tests reach, each with the reason it stays.
 UNREACHED = {
     "exhaustive_chain_verdict": "literal oracle the chain verdict tests compare against",
-    "brute_force_witness_bfs": "literal oracle the canonicalization tests compare against",
     "stable_vb_construct": "waits for its caller, the moduli oracle of ROADMAP item 2",
 }
 
@@ -113,10 +112,9 @@ def _passed(call: ast.Call, params: list[str]) -> set[str]:
     return set(params[: len(call.args)]) | {kw.arg for kw in call.keywords}
 
 
-def test_every_default_is_overridden_somewhere():
-    """A defaulted parameter of a public function must be passed by some
-    call in the library, the benchmark or the tests; a setting no caller
-    sets is a constant."""
+def _default_uses() -> dict[str, list[bool]]:
+    """For each defaulted parameter of a public function, whether each call
+    in the library, the benchmark or the tests passes it."""
     files = [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py")]
     files += (ROOT / "tests").glob("*.py")
     calls = [
@@ -125,7 +123,7 @@ def test_every_default_is_overridden_somewhere():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Call)
     ]
-    unset = set()
+    uses = {}
     for name in MODULES:
         module = importlib.import_module(name)
         for public in module.__all__:
@@ -134,15 +132,27 @@ def test_every_default_is_overridden_somewhere():
                 continue
             params = list(inspect.signature(func).parameters.values())
             names = [p.name for p in params]
-            passed = set()
-            for call in calls:
-                callee = call.func
-                if public in (getattr(callee, "id", None), getattr(callee, "attr", None)):
-                    passed |= _passed(call, names)
+            passed = [
+                _passed(call, names)
+                for call in calls
+                if public in (getattr(call.func, a, None) for a in ("id", "attr"))
+            ]
             for p in params:
-                if p.default is not p.empty and p.name not in passed:
-                    unset.add(f"{public}({p.name})")
-    assert sorted(unset) == []
+                if p.default is not p.empty:
+                    uses[f"{public}({p.name})"] = [p.name in given for given in passed]
+    return uses
+
+
+def test_every_default_is_overridden_somewhere():
+    """A defaulted parameter of a public function must be passed by some
+    call; a setting no caller sets is a constant."""
+    assert sorted(p for p, passes in _default_uses().items() if not any(passes)) == []
+
+
+def test_every_default_is_relied_on_somewhere():
+    """A defaulted parameter of a public function must be left out by some
+    call; a default every caller overrides is a required parameter."""
+    assert sorted(p for p, passes in _default_uses().items() if all(passes)) == []
 
 
 def test_a_fresh_import_frees_the_one_before():

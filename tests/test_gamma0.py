@@ -10,7 +10,6 @@ from ngonstab.gamma0 import (
     CuspClass,
     Mat2,
     brute_force_cusp_partition,
-    brute_force_witness_bfs,
     class_count,
     cusp_canonicalize,
     cusp_class,
@@ -183,14 +182,3 @@ def test_partition_matches_pairwise_equivalence():
             for s2 in slopes:
                 same_orbit = restricted[s1] == restricted[s2]
                 assert same_orbit == cusp_equivalent(N, s1, s2), (N, s1, s2)
-
-
-def test_bfs_witness_small_levels():
-    # BFS over the two parabolic generators converges for tiny levels
-    for N, s in [(2, Slope(3, 4)), (3, Slope(2, 5)), (4, Slope(3, 4))]:
-        w = brute_force_witness_bfs(N, s)
-        assert w is not None
-        assert in_gamma0(w, N)
-        assert w.moebius(s) == cusp_class(N, s).slope
-    # identity case
-    assert brute_force_witness_bfs(6, Slope(1, 2)) == Mat2.identity()

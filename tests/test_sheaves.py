@@ -404,7 +404,7 @@ def test_chain_oracles_agree_sampled_long():
 
 def test_band_oracle_agrees_exhaustively():
     for n, r in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (2, 2), (4, 1)):
-        for m in (1, 2, 3):  # m > 1 takes the oracle's replace(b, m=1) path
+        for m in (1, 2, 3):  # m > 1 takes the oracle's multiplicity reduction
             for d in itertools.product(range(-2, 3), repeat=n * r):
                 b = BandSheaf(n, r, d, A, m)
                 assert is_semistable(b) == brute_force_band_verdict(b), (n, r, d, m)

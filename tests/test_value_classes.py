@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from ngonstab.charges import KClass, PhasePoint, Slope, replace, slope_to_phase
+from ngonstab.charges import KClass, PhasePoint, Slope, slope_to_phase
 from ngonstab.compat import CompatReport, KAuto
 from ngonstab.gamma0 import CuspClass, Mat2
 from ngonstab.hn import HNPolygon, HNResult, HNSlice
@@ -148,14 +148,4 @@ def test_defaults_and_class_constants():
     assert isinstance(DESCRIPTION.galois_note, str)
     with pytest.raises(TypeError):
         ModuliDescription(galois_note="", **MODULI_FIELDS)
-
-
-def test_replace_builds_through_the_constructor():
-    band = BandSheaf(2, 2, (1, 0, 0, 1), A, 3)
-    once = replace(band, m=1)
-    assert once == BandSheaf(2, 2, band.multideg, A) and band.m == 3
-    with pytest.raises(ValueError):
-        replace(band, m=0)
-    with pytest.raises(TypeError):
-        replace(band, width=1)
 
