@@ -16,15 +16,19 @@ from __future__ import annotations
 from .charges import (
     ChargeVec,
     PhasePoint,
+    _int_tuple,
     compare_phase,
     in_h_prime,
     phase_cmp,
-    phase_of_charge,
+    phase_sort_key,
+    primitive,
     value_class,
 )
 from .sheaves import (
     UNSTABLE,
     SheafObject,
+    Summand,
+    _parts,
     is_semistable,
     object_charge,
 )
@@ -82,35 +86,48 @@ class HNResult:
 def _phase_groups(
     charges: list[ChargeVec],
 ) -> list[tuple[PhasePoint, ChargeVec, tuple[int, ...]]]:
-    """(phase, summed charge, indices) per distinct phase, descending."""
-    groups: dict[PhasePoint, list[int]] = {}
+    """(phase, summed charge, indices) per distinct phase, descending;
+    keyed on primitive directions, with one PhasePoint per group."""
+    groups: dict[ChargeVec, list[int]] = {}
     for idx, c in enumerate(charges):
-        groups.setdefault(phase_of_charge(c), []).append(idx)
+        groups.setdefault(primitive(c), []).append(idx)
     out = []
-    for p in sorted(groups, key=lambda p: p.sort_key(), reverse=True):
-        members = tuple(groups[p])
+    for d in sorted(groups, key=phase_sort_key, reverse=True):
+        members = tuple(groups[d])
         re = sum(charges[i][0] for i in members)
         im = sum(charges[i][1] for i in members)
-        out.append((p, (re, im), members))
+        out.append((PhasePoint(0, d), (re, im), members))
     return out
 
 
-def hn_of_object(s: SheafObject) -> HNResult:
-    """Group the summands of a direct sum into descending-phase slices.
+def hn_of_object(s: Summand | SheafObject) -> HNResult:
+    """Group the summands of a direct sum into descending-phase slices;
+    a lone summand is filtered as a one-summand object.
 
     Rejects any summand the stability test calls Unstable: the model
     does not split indecomposables, so the caller must refine such a
     summand into semistable pieces first.
     """
-    for idx, part in enumerate(s.summands):
+    parts = _parts(s)
+    for idx, part in enumerate(parts):
         if is_semistable(part) == UNSTABLE:
             raise ValueError(
                 f"summand {idx} is unstable; refine it before filtering"
             )
-    charges = [object_charge(part) for part in s.summands]
+    charges = [object_charge(part) for part in parts]
     result = HNResult(tuple(HNSlice(*group) for group in _phase_groups(charges)))
     assert result.total_charge == object_charge(s)
     return result
+
+
+def _charge(c: object) -> ChargeVec:
+    """c as a pair of integers in H'; anything else is a ValueError."""
+    c = _int_tuple(c, "charge")
+    if len(c) != 2:
+        raise ValueError(f"charge {c} must have two entries")
+    if not in_h_prime(c):
+        raise ValueError(f"charge {c} is not in H'")
+    return c
 
 
 @value_class
@@ -120,11 +137,11 @@ class HNPolygon:
     vertices: tuple[ChargeVec, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "vertices", tuple(tuple(v) for v in self.vertices)
-        )
-        if not self.vertices or self.vertices[0] != (0, 0):
+        vertices = tuple(self.vertices)
+        if not vertices or _int_tuple(vertices[0], "vertex") != (0, 0):
             raise ValueError("polygon must start at the origin")
+        # H' is closed under sums, so vertices of edges in H' lie in H'
+        object.__setattr__(self, "vertices", ((0, 0), *map(_charge, vertices[1:])))
         edges = [
             (b[0] - a[0], b[1] - a[1])
             for a, b in zip(self.vertices, self.vertices[1:])
@@ -151,12 +168,7 @@ def hn_polygon(charges: list[ChargeVec]) -> HNPolygon:
     phase (the canonical filtration order) and equal phases merge into
     one edge, so the hull of a hull's edge charges is itself.
     """
-    cleaned = []
-    for c in charges:
-        c = tuple(c)
-        if not in_h_prime(c):
-            raise ValueError(f"charge {c} is not in H'")
-        cleaned.append(c)
+    cleaned = [_charge(c) for c in charges]
     vertices = [(0, 0)]
     for _, (re, im), _ in _phase_groups(cleaned):
         vertices.append((vertices[-1][0] + re, vertices[-1][1] + im))
@@ -175,10 +187,7 @@ def brute_force_polygon(charges: list[ChargeVec]) -> HNPolygon:
     strictly convex upper chain.  A leading vertical edge appears when
     the x = 0 column (torsion-only subsets) rises above the origin.
     """
-    cleaned = [tuple(c) for c in charges]
-    for c in cleaned:
-        if not in_h_prime(c):
-            raise ValueError(f"charge {c} is not in H'")
+    cleaned = [_charge(c) for c in charges]
     if len(cleaned) > 16:
         raise ValueError("subset enumeration limited to 16 charges")
     sums = {(0, 0)}

@@ -21,10 +21,12 @@ support components), and a subsheaf destabilizes when its slope is not
 smaller.  For chains and bands the candidate subsheaves are supported on
 contiguous intervals, with the degree dropping by one at every node
 where the interval meets the rest of the curve.  The verdict functions
-decide every interval at once from one prefix sum of the degrees: on a
-chain of length k the scaled prefix f(t) = k*P[t] - chi*t must stay in
-[-k, 0], and on an indecomposable band around the N-cycle the periodic
-g(t) = N*P[t] - chi*t must spread by at most N; both cost O(k) or O(N).
+decide every interval at once from the extremes of one prefix sum of
+the degrees: on a chain of length k the scaled prefix f(t) = k*P[t] -
+chi*t must stay in [-k, 0], and on an indecomposable band around the
+N-cycle the periodic g(t) = N*P[t] - chi*t must spread by at most N;
+touching 0 or -k, or spreading by exactly N, is a tie.  Both cost O(k)
+or O(N).
 The ``brute_force_*`` oracles re-derive the verdicts by enumerating the
 intervals and their twisted subsheaves directly.
 
@@ -195,6 +197,8 @@ def _least_sheet_rotation(seq: tuple[int, ...], n: int) -> tuple[int, ...]:
     start that a smaller rotation already beats.
     """
     r = len(seq) // n
+    if r == 1:
+        return seq
     sheets = [seq[t * n : t * n + n] for t in range(r)] * 2
     i = best = 0
     while i < r:
@@ -241,11 +245,12 @@ class BandSheaf:
 
     @property
     def period(self) -> int:
-        """Smallest t > 0 with the degree vector fixed by rotating t sheets."""
-        for t in range(1, self.r + 1):
+        """Smallest t > 0 with the degree vector fixed by rotating t sheets
+        (rotating all r is the identity)."""
+        for t in range(1, self.r):
             if self.r % t == 0 and _rotated(self.multideg, self.n * t) == self.multideg:
                 return t
-        raise AssertionError("rotation by r sheets is the identity")
+        return self.r
 
 
 @value_class
@@ -329,11 +334,11 @@ class SheafObject:
             object.__setattr__(self, "summands", tuple(self.summands))
         if not self.summands:
             raise ValueError("object needs at least one summand")
-        n = self.summands[0].n
+        first = self.summands[0]
         for s in self.summands:
             if not isinstance(s, (BandSheaf, ChainSheaf, TorsionSheaf)):
                 raise ValueError("summands must be band, chain or torsion sheaves")
-            if s.n != n:
+            if s.n != first.n:
                 raise ValueError("summands must live on the same curve")
         object.__setattr__(
             self, "summands", tuple(sorted(self.summands, key=_summand_sort_key))
@@ -550,14 +555,17 @@ def is_semistable(s: Summand) -> str:
     degrees and chi = 1 + sum(d) (chain) or sum(d) (band):
 
     * a chain of length k is judged by f(t) = k*P[t] - chi*t on
-      1 <= t < k, in O(k): Unstable if some f(t) leaves [-k, 0],
-      StrictlySemistable if some f(t) is 0 or -k, Stable otherwise;
+      1 <= t < k, in O(k): Unstable if max f > 0 or min f < -k,
+      StrictlySemistable if max f = 0 or min f = -k, Stable otherwise
+      (k = 1 has no proper interval and is Stable);
     * bands with multiplicity reduce to their multiplicity-one core,
       decomposable bands to their repeating piece, and an indecomposable
-      one-multiplicity band on the N-cycle is judged by the N-periodic
-      g(t) = N*P[t] - chi*t, in O(N): Unstable if max g - min g > N,
-      StrictlySemistable if some g-value plus N is again a g-value,
-      Stable otherwise.
+      one-multiplicity band on the N-cycle is judged by the spread
+      max g - min g of the N-periodic g(t) = N*P[t] - chi*t, in O(N):
+      Unstable if it exceeds N, StrictlySemistable if it equals N,
+      Stable otherwise.  A tie is a g-value v with v + N again a
+      g-value; once the spread is at most N, v + N <= max g <= min g + N
+      <= v + N forces v = min g and max g = min g + N.
     """
     if isinstance(s, TorsionSheaf):
         return STABLE if s.length == 1 else SEMISTABLE
@@ -575,12 +583,15 @@ def _chain_interval_verdict(k: int, d: tuple[int, ...]) -> str:
     # has excess -k - f(t).  An interior interval has excess
     # f(b) - f(a) - k for 1 <= a < b < k, which is negative once every
     # f(t) lies in [-k, 0] and zero only where a prefix is already tied,
-    # so the prefixes and suffixes decide the verdict.
+    # so the least and the greatest f(t) decide the verdict.
+    if k == 1:  # one line has no proper interval
+        return STABLE
     chi = 1 + sum(d)
-    f = set(accumulate(k * x - chi for x in d[:-1]))
-    if any(v > 0 or v < -k for v in f):
+    f = list(accumulate([k * x - chi for x in d[:-1]]))
+    lo, hi = min(f), max(f)
+    if hi > 0 or lo < -k:
         return UNSTABLE
-    return SEMISTABLE if 0 in f or -k in f else STABLE
+    return SEMISTABLE if hi == 0 or lo == -k else STABLE
 
 
 def _band_verdict(b: BandSheaf) -> str:
@@ -601,10 +612,11 @@ def _cycle_verdict(d: tuple[int, ...]) -> str:
     # ordered pair of distinct residues mod N is exactly one proper interval.
     N = len(d)
     chi = sum(d)
-    g = set(accumulate((N * x - chi for x in d[:-1]), initial=0))
-    if max(g) - min(g) > N:
+    g = list(accumulate([N * x - chi for x in d[:-1]], initial=0))
+    spread = max(g) - min(g)
+    if spread > N:
         return UNSTABLE
-    return SEMISTABLE if any(v + N in g for v in g) else STABLE
+    return SEMISTABLE if spread == N else STABLE
 
 
 def brute_force_chain_verdict(c: ChainSheaf) -> str:

@@ -112,6 +112,21 @@ def _passed(call: ast.Call, params: list[str]) -> set[str]:
     return set(params[: len(call.args)]) | {kw.arg for kw in call.keywords}
 
 
+def _calls(call: ast.Call, module: str, public: str) -> bool:
+    """Whether a call is one of `public` in `module`: by its bare name, or
+    as an attribute of the module's short name (`cli.run`,
+    `self.ng.cli.run`).  A method of the same name on another object
+    (`subprocess.run`, `runner.run`) is not a call of it."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id == public
+    if not isinstance(func, ast.Attribute) or func.attr != public:
+        return False
+    short = module.rsplit(".", 1)[-1]
+    owner = func.value
+    return short in (getattr(owner, "id", None), getattr(owner, "attr", None))
+
+
 def _default_uses() -> dict[str, list[bool]]:
     """For each defaulted parameter of a public function, whether each call
     in the library, the benchmark or the tests passes it."""
@@ -135,7 +150,7 @@ def _default_uses() -> dict[str, list[bool]]:
             passed = [
                 _passed(call, names)
                 for call in calls
-                if public in (getattr(call.func, a, None) for a in ("id", "attr"))
+                if _calls(call, name, public)
             ]
             for p in params:
                 if p.default is not p.empty:

@@ -3,8 +3,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ngonstab.charges import PhasePoint, in_h_prime
+from ngonstab.charges import PhasePoint, in_h_prime, phase_of_charge
 from ngonstab.hn import (
     HNPolygon,
     HNResult,
@@ -14,6 +15,7 @@ from ngonstab.hn import (
     hn_polygon,
 )
 from ngonstab.sheaves import (
+    BandSheaf,
     ChainSheaf,
     Label,
     NodePoint,
@@ -54,6 +56,68 @@ def test_unstable_summand_is_rejected():
     obj = SheafObject((ChainSheaf(3, 2, 0, (2, -2)),))
     with pytest.raises(ValueError, match="refine"):
         hn_of_object(obj)
+
+
+def test_a_lone_summand_is_a_one_summand_object():
+    c = ChainSheaf(4, 2, 0, (1, 0))
+    assert hn_of_object(c) == hn_of_object(SheafObject((c,)))
+    for bad in ("x", None, (c,), NodePoint(0)):
+        with pytest.raises(TypeError, match="^not a sheaf model: "):
+            hn_of_object(bad)
+
+
+def _reference_groups(charges):
+    """(phase, summed charge, indices) per PhasePoint, by its sort key."""
+    groups = {}
+    for idx, c in enumerate(charges):
+        groups.setdefault(phase_of_charge(c), []).append(idx)
+    out = []
+    for p in sorted(groups, key=lambda p: p.sort_key(), reverse=True):
+        members = groups[p]
+        re = sum(charges[i][0] for i in members)
+        im = sum(charges[i][1] for i in members)
+        out.append((p, (re, im), tuple(members)))
+    return out
+
+
+# a few rays, each drawn at several positive multiples, and torsion (-k, 0)
+_ray_charges = st.builds(
+    lambda re, im, j: (j * re, j * im),
+    st.integers(-3, 3),
+    st.integers(1, 3),
+    st.integers(1, 4),
+)
+_charge_lists = st.lists(
+    st.one_of(_ray_charges, st.integers(1, 4).map(lambda k: (-k, 0))), max_size=12
+)
+
+
+@st.composite
+def _ray_objects(draw):
+    # a one-line chain of degree x - 1 and a band of constant degree x on
+    # r sheets share the ray (-x, 1); both are Stable, as is a torsion point
+    n = draw(st.integers(1, 4))
+    summand = st.one_of(
+        st.builds(lambda x: ChainSheaf(n, 1, 0, (x - 1,)), st.integers(-2, 2)),
+        st.builds(
+            lambda x, r: BandSheaf(n, r, (x,) * (n * r), A), st.integers(-2, 2),
+            st.integers(1, 2),
+        ),
+        st.builds(lambda k: TorsionSheaf(n, NodePoint(0), k), st.integers(1, 3)),
+    )
+    return SheafObject(tuple(draw(st.lists(summand, min_size=1, max_size=8))))
+
+
+@given(_charge_lists, _ray_objects())
+@settings(max_examples=150)
+def test_grouping_matches_the_phase_point_reference(charges, obj):
+    vertices = [(0, 0)]
+    for _, (re, im), _ in _reference_groups(charges):
+        vertices.append((vertices[-1][0] + re, vertices[-1][1] + im))
+    assert hn_polygon(charges).vertices == tuple(vertices)
+    parts = [object_charge(x) for x in obj.summands]
+    want = tuple(HNSlice(*group) for group in _reference_groups(parts))
+    assert hn_of_object(obj).slices == want
 
 
 def test_hn_result_validates_order():
@@ -101,6 +165,21 @@ def test_polygon_rejects_lower_half_charges():
         hn_polygon([(1, 0)])
     with pytest.raises(ValueError):
         brute_force_polygon([(0, -1)])
+
+
+def test_polygons_refuse_non_integer_charges():
+    for bad in ([1, 1.5], (True, 1), (0, 1, 0), 3):
+        with pytest.raises(ValueError):
+            hn_polygon([bad])
+        with pytest.raises(ValueError):
+            brute_force_polygon([bad])
+        with pytest.raises(ValueError):
+            HNPolygon(((0, 0), bad))
+    with pytest.raises(ValueError):
+        HNPolygon(((0, 0), (0.5, 1.0)))
+    with pytest.raises(ValueError):
+        HNPolygon(((False, False), (0, 1)))
+    assert hn_polygon([[-1, 0], [0, 1]]) == hn_polygon([(-1, 0), (0, 1)])
 
 
 def test_polygon_validation():
