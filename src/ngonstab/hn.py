@@ -86,8 +86,7 @@ class HNResult:
 def _phase_groups(
     charges: list[ChargeVec],
 ) -> list[tuple[PhasePoint, ChargeVec, tuple[int, ...]]]:
-    """(phase, summed charge, indices) per distinct phase, descending;
-    keyed on primitive directions, with one PhasePoint per group."""
+    """(phase, summed charge, indices) per primitive direction, descending."""
     groups: dict[ChargeVec, list[int]] = {}
     for idx, c in enumerate(charges):
         groups.setdefault(primitive(c), []).append(idx)
@@ -122,12 +121,15 @@ def hn_of_object(s: Summand | SheafObject) -> HNResult:
 
 def _charge(c: object) -> ChargeVec:
     """c as a pair of integers in H'; anything else is a ValueError."""
-    c = _int_tuple(c, "charge")
-    if len(c) != 2:
-        raise ValueError(f"charge {c} must have two entries")
-    if not in_h_prime(c):
-        raise ValueError(f"charge {c} is not in H'")
-    return c
+    exact = type(c) is tuple and len(c) == 2
+    if not (exact and type(c[0]) is int and type(c[1]) is int):
+        c = _int_tuple(c, "charge")
+        if len(c) != 2:
+            raise ValueError(f"charge {c} must have two entries")
+    re, im = c
+    if im > 0 or (im == 0 and re < 0):  # in_h_prime, without a call
+        return c
+    raise ValueError(f"charge {c} is not in H'")
 
 
 @value_class

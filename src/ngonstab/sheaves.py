@@ -245,8 +245,7 @@ class BandSheaf:
 
     @property
     def period(self) -> int:
-        """Smallest t > 0 with the degree vector fixed by rotating t sheets
-        (rotating all r is the identity)."""
+        """Smallest t > 0 fixing the degree vector by a t-sheet rotation; r does."""
         for t in range(1, self.r):
             if self.r % t == 0 and _rotated(self.multideg, self.n * t) == self.multideg:
                 return t
@@ -606,7 +605,7 @@ def _band_verdict(b: BandSheaf) -> str:
 
 def _cycle_verdict(d: tuple[int, ...]) -> str:
     # An indecomposable multiplicity-one band on the N-cycle, N = len(d);
-    # N = 1 has no proper interval, and g = {0} reads Stable.
+    # N = 1 has no proper interval, and g = [0] reads Stable.
     # The interval of length ell starting at a has chi_sub = P[a+ell] - P[a] - 1,
     # so its excess chi_sub*N - chi*ell is g(a + ell) - g(a) - N, and each
     # ordered pair of distinct residues mod N is exactly one proper interval.

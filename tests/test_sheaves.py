@@ -171,9 +171,6 @@ def test_band_period():
     assert BandSheaf(2, 2, (1, 0, 2, 0), A).period == 2
     assert BandSheaf(1, 2, (2, 0), A).period == 2
     assert BandSheaf(2, 2, (1, 0, 1, 0), A).period == 1
-
-
-def test_band_period_at_one_sheet_and_prime_sheet_counts():
     # r = 1 has no proper rotation; a prime r is periodic only with period 1
     assert BandSheaf(3, 1, (1, 0, 2), A).period == 1
     assert BandSheaf(2, 3, (1, 0) * 3, A).period == 1
@@ -390,6 +387,21 @@ def test_chain_verdict_pins():
     assert is_semistable(ChainSheaf(2, 2, 0, (0, 0))) == STABLE
     assert is_semistable(ChainSheaf(2, 2, 0, (1, 0))) == SEMISTABLE
     assert is_semistable(ChainSheaf(3, 2, 0, (2, -2))) == UNSTABLE
+    # the boundaries: f(t) = k*P[t] - chi*t on 1 <= t < k must stay in
+    # [-k, 0], and a chain of one line has no t and no proper interval
+    for d in (-3, 0, 4):
+        assert is_semistable(ChainSheaf(2, 1, 0, (d,))) == STABLE
+    pins = {
+        (0, 0, 0): STABLE,  # f = (-1, -2)
+        (0, 1, 0, 0): SEMISTABLE,  # f = (-2, 0, -2): max exactly 0
+        (0, 0, 1, 0): SEMISTABLE,  # f = (-2, -4, -2): min exactly -k
+        (0, 0, -1): SEMISTABLE,  # f = (0, 0): max 0, min above -k
+        (1, 0, 0): UNSTABLE,  # f = (1, 2)
+        (0, -1, 2, 0): UNSTABLE,  # f = (-2, -8, -2): min below -k
+    }
+    for d, verdict in pins.items():
+        c = ChainSheaf(3, len(d), 0, d)
+        assert is_semistable(c) == verdict == exhaustive_chain_verdict(c), d
 
 
 def test_band_verdict_pins():
@@ -404,26 +416,8 @@ def test_band_verdict_pins():
     # multiplicity kills stability but not semistability
     assert is_semistable(BandSheaf(1, 1, (0,), A, m=2)) == SEMISTABLE
     assert is_semistable(BandSheaf(1, 2, (2, -2), A, m=2)) == UNSTABLE
-
-
-def test_verdicts_at_the_boundaries():
-    # chains: f(t) = k*P[t] - chi*t on 1 <= t < k must stay in [-k, 0];
-    # k = 1 has no t and no proper interval
-    for d in (-3, 0, 4):
-        assert is_semistable(ChainSheaf(2, 1, 0, (d,))) == STABLE
-    pins = {
-        (0, 0, 0): STABLE,  # f = (-1, -2)
-        (0, 1, 0, 0): SEMISTABLE,  # f = (-2, 0, -2): max exactly 0
-        (0, 0, 1, 0): SEMISTABLE,  # f = (-2, -4, -2): min exactly -k
-        (0, 0, -1): SEMISTABLE,  # f = (0, 0): max 0, min above -k
-        (1, 0, 0): UNSTABLE,  # f = (1, 2)
-        (0, -1, 2, 0): UNSTABLE,  # f = (-2, -8, -2): min below -k
-    }
-    for d, verdict in pins.items():
-        c = ChainSheaf(3, len(d), 0, d)
-        assert is_semistable(c) == verdict == exhaustive_chain_verdict(c), d
-    # bands on the 3-cycle: g(t) = 3*P[t] - chi*t, unstable when it spreads
-    # by more than N = 3, tied when by exactly 3
+    # the boundaries on the 3-cycle: g(t) = 3*P[t] - chi*t, unstable when
+    # it spreads by more than N = 3, tied when by exactly 3
     pins = {
         (0, 0, 1): STABLE,  # g = (0, -1, -2): spread 2
         (1, 0, -1): SEMISTABLE,  # g = (0, 3, 3): spread 3
