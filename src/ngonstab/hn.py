@@ -119,17 +119,20 @@ def hn_of_object(s: Summand | SheafObject) -> HNResult:
     return result
 
 
+def _pair(c: object, what: str) -> ChargeVec:
+    """c as a pair of integers; anything else is a ValueError."""
+    c = _int_tuple(c, what)
+    if len(c) != 2:
+        raise ValueError(f"{what} {c} must have two entries")
+    return c
+
+
 def _charge(c: object) -> ChargeVec:
     """c as a pair of integers in H'; anything else is a ValueError."""
-    exact = type(c) is tuple and len(c) == 2
-    if not (exact and type(c[0]) is int and type(c[1]) is int):
-        c = _int_tuple(c, "charge")
-        if len(c) != 2:
-            raise ValueError(f"charge {c} must have two entries")
-    re, im = c
-    if im > 0 or (im == 0 and re < 0):  # in_h_prime, without a call
-        return c
-    raise ValueError(f"charge {c} is not in H'")
+    c = _pair(c, "charge")
+    if not in_h_prime(c):
+        raise ValueError(f"charge {c} is not in H'")
+    return c
 
 
 @value_class
@@ -139,11 +142,10 @@ class HNPolygon:
     vertices: tuple[ChargeVec, ...]
 
     def __post_init__(self) -> None:
-        vertices = tuple(self.vertices)
-        if not vertices or _int_tuple(vertices[0], "vertex") != (0, 0):
+        vertices = tuple(_pair(v, "vertex") for v in self.vertices)
+        if not vertices or vertices[0] != (0, 0):
             raise ValueError("polygon must start at the origin")
-        # H' is closed under sums, so vertices of edges in H' lie in H'
-        object.__setattr__(self, "vertices", ((0, 0), *map(_charge, vertices[1:])))
+        object.__setattr__(self, "vertices", vertices)
         edges = [
             (b[0] - a[0], b[1] - a[1])
             for a, b in zip(self.vertices, self.vertices[1:])

@@ -197,8 +197,6 @@ def _least_sheet_rotation(seq: tuple[int, ...], n: int) -> tuple[int, ...]:
     start that a smaller rotation already beats.
     """
     r = len(seq) // n
-    if r == 1:
-        return seq
     sheets = [seq[t * n : t * n + n] for t in range(r)] * 2
     i = best = 0
     while i < r:

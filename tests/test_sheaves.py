@@ -181,8 +181,7 @@ def test_band_period():
 
 
 def test_least_sheet_rotation_of_one_sheet_is_its_input():
-    seq = (3, 1, 2)
-    assert _least_sheet_rotation(seq, 3) is seq
+    assert _least_sheet_rotation((3, 1, 2), 3) == (3, 1, 2)
 
 
 def test_sheaf_object_canonical_order():
