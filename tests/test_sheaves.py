@@ -35,7 +35,6 @@ from ngonstab.sheaves import (
     random_object,
     summand_to_json,
     tensor_line,
-    _least_sheet_rotation,
     _rotated,
 )
 
@@ -178,10 +177,6 @@ def test_band_period():
     assert BandSheaf(1, 5, (0,) * 5, A).period == 1
     assert BandSheaf(1, 5, (1, 0, 0, 0, 0), A).period == 5
     assert BandSheaf(2, 5, (0, -1, 0, -1, 0, -1, 0, -1, 1, -1), A).period == 5
-
-
-def test_least_sheet_rotation_of_one_sheet_is_its_input():
-    assert _least_sheet_rotation((3, 1, 2), 3) == (3, 1, 2)
 
 
 def test_sheaf_object_canonical_order():
