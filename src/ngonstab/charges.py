@@ -67,8 +67,9 @@ def value_class(cls: type) -> type:
     default.  One `exec` builds `__init__` (refuses any value `is_int`
     rejects for a field annotated ``int``, stores a field annotated
     ``tuple[int, ...]`` or ``ChargeVec`` as a tuple after `_int_tuple`'s
-    checks, assigns every field, then calls `__post_init__` if the class
-    has one), `__eq__` (same class and equal field tuples) and
+    checks, refuses a ``ChargeVec`` of other than two entries, assigns
+    every field, then calls `__post_init__` if the class has one),
+    `__eq__` (same class and equal field tuples) and
     `__hash__` (the hash of the field tuple): the code `dataclass`
     generates for ``frozen=True``, so equal values compare and hash as
     they did under it.  `__repr__` and the frozen `__setattr__` and
@@ -107,6 +108,11 @@ def value_class(cls: type) -> type:
                 f"\n    else:"
                 f"\n        {name} = _int_tuple({name}, {name!r})"
             )
+            if annotations[name] in ("ChargeVec", ChargeVec):
+                body += (
+                    f"\n    if len({name}) != 2:"
+                    f"\n        raise ValueError({name + ' must have two entries'!r})"
+                )
     own = "".join(f"self.{name}," for name in names)
     other = "".join(f"other.{name}," for name in names)
     body += "".join(f"\n    _set(self, {name!r}, {name})" for name in names)

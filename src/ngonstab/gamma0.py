@@ -266,42 +266,36 @@ def enumerate_cusp_classes(N: int) -> tuple[CuspClass, ...]:
 
 
 class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict = {}
+    """Disjoint sets over the node ids of `ids`, which numbers each key once."""
 
-    def add(self, x) -> None:
-        self.parent.setdefault(x, x)
+    def __init__(self, ids: dict) -> None:
+        self.ids = ids
+        self.parent = list(range(len(ids)))
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
+    def find(self, key) -> int:
+        parent = self.parent
+        x = self.ids[key]
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
 
 
-def _gamma0_edge_table(N: int) -> dict[int, tuple[list[int], list[tuple[int, int]]]]:
-    """Verified level-N matrices for oracle edges, keyed by lower-left entry.
+def _gamma0_edge_table(N: int) -> list[tuple[int, list[int], list[tuple[int, int]]]]:
+    """Verified level-N matrices for oracle edges, as (c, ds, rows) by c.
 
-    For each c in {N, 2N, ..., 8N} and each small d coprime to c,
+    For each c in {N, 2N, ..., 10N} and each d in 1..2N+1 coprime to c,
     the matrix [[a, b], [c, d]] with a the least positive inverse of d
-    mod c and b forced by the determinant is a genuine member (asserted).
+    mod c and b forced by the determinant is a genuine member: ad - bc = 1
+    and N | c are checked on the integers.
     Words in T and [[1,0],[N,1]] alone are congruent to +-[[1,*],[0,1]]
     mod N and stay inside an infinite-index subgroup once N > 4, which
     is why this richer batch is needed for the orbit closure to converge
-    (levels with three prime factors need lower-left entries up to 8N).
+    (level 150 needs lower-left entries up to 10N, level 90 up to 9N).
     Small d matters: the image denominator is c*p + d*q, so only small-d
     members act within a bounded denominator universe.
     """
-    table: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
-    for m in range(1, 9):
-        c = N * m
+    table = []
+    for c in range(N, 10 * N + 1, N):
         ds: list[int] = []
         rows: list[tuple[int, int]] = []
         for d in range(1, 2 * N + 2):
@@ -309,71 +303,87 @@ def _gamma0_edge_table(N: int) -> dict[int, tuple[list[int], list[tuple[int, int
                 continue
             a = pow(d, -1, c)
             b = (a * d - 1) // c
-            g = Mat2(a, b, c, d)
-            assert g.det == 1 and g.c % N == 0
+            if a * d - b * c != 1 or c % N != 0:
+                raise AssertionError(f"[[{a}, {b}], [{c}, {d}]] is not in level {N}")
             ds.append(d)
             rows.append((a, b))
-        table[c] = (ds, rows)
+        table.append((c, ds, rows))
     return table
 
 
 def brute_force_cusp_partition(N: int) -> _UnionFind:
     """Orbit partition of bounded-denominator slopes under verified elements.
 
-    Nodes are T-classes (q, p mod q) with q <= 2N plus one node for
-    the infinite slope.  Each node's representatives p0 - q, p0, p0 + q
-    are pushed through every matrix from _gamma0_edge_table whose image
-    denominator stays under the bound (a bisect window on d since the
-    denominator is c*p + d*q), and the image node is merged in.  Every
-    merge applies a matrix individually verified to lie in the level-N
-    group, so the partition can only be too fine, never too coarse; the
-    test suite settles convergence by comparing class counts against the
-    divisor-sum formula.
+    Nodes are T-classes (q, p0 = p mod q) with q <= 2N plus one node for
+    the infinite slope, numbered once.  Each node's representatives
+    p0 - q, p0, p0 + q are pushed through every matrix from
+    _gamma0_edge_table whose image denominator c*p + d*q stays within
+    +-2N (a bisect window on d), and the image node is merged in.  The
+    batch is walked in ascending c, and two rules stop it once every
+    later window is provably empty:
+
+    - p > 0: every image denominator is at least c*p + q, which grows
+      with c, so stop once c*p + q > 2N;
+    - p < 0: the least admissible d is ceil((-2N - c*p)/q), which grows
+      with c, so stop once it passes 2N + 1, the largest d of the whole
+      batch (not of the current c, whose largest d can be smaller).
+
+    Every merge applies a matrix individually verified to lie in the
+    level-N group, so the partition can only be too fine, never too
+    coarse; the test suite settles convergence by comparing class counts
+    against the divisor-sum formula.
     """
     if N < 1:
         raise ValueError("level must be a positive integer")
     bound = 2 * N
-    uf = _UnionFind()
-    uf.add(("inf",))
+    top = bound + 1
+    ids = {("inf",): 0}
     for q in range(1, bound + 1):
         for p0 in range(q):
-            if gcd(p0, q) != 1:
-                continue
-            uf.add((q, p0))
+            if gcd(p0, q) == 1:
+                ids[q, p0] = len(ids)
+    uf = _UnionFind(ids)
+    parent = uf.parent
     table = _gamma0_edge_table(N)
-    for q in range(1, bound + 1):
-        for p0 in range(q):
-            if gcd(p0, q) != 1:
-                continue
-            key = (q, p0)
-            for p in (p0 - q, p0, p0 + q):
-                for c, (ds, rows) in table.items():
-                    cp = c * p
-                    # keep |c*p + d*q| <= bound
-                    d_lo = 1 if cp >= -bound else -((bound + cp) // q)
-                    d_hi = (bound - cp) // q
-                    for i in range(bisect_left(ds, d_lo), bisect_right(ds, d_hi)):
-                        d = ds[i]
-                        den = cp + d * q
-                        if den == 0:
-                            uf.union(key, ("inf",))
-                            continue
+    for (q, p0), x in list(ids.items())[1:]:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        for p in (p0 - q, p0, p0 + q):
+            for c, ds, rows in table:
+                cp = c * p
+                if cp >= -bound:
+                    if cp + q > bound:
+                        break
+                    d_lo = 1
+                else:
+                    d_lo = -((bound + cp) // q)
+                    if d_lo > top:
+                        break
+                for i in range(bisect_left(ds, d_lo), bisect_right(ds, (bound - cp) // q)):
+                    den = cp + ds[i] * q
+                    if den:
                         a, b = rows[i]
                         num = a * p + b * q
                         if den < 0:
                             num, den = -num, -den
-                        uf.union(key, (den, num % den))
+                        y = ids[den, num % den]
+                    else:
+                        y = 0
+                    while parent[y] != y:
+                        parent[y] = y = parent[parent[y]]
+                    if y != x:
+                        parent[x] = x = y  # x stays its node's root
     # the infinite slope 1/0 maps to a/c under [[a, b], [c, d]]
-    for c, (ds, rows) in table.items():
+    for c, _, rows in table:
         if c <= bound:
             for a, _ in rows:
-                uf.union(("inf",), (c, a % c))
+                parent[uf.find(("inf",))] = uf.find((c, a))
     return uf
 
 
-def restrict_partition_to_small_slopes(N: int, uf: _UnionFind) -> dict[Slope, object]:
+def restrict_partition_to_small_slopes(N: int, uf: _UnionFind) -> dict[Slope, int]:
     """Map each reduced slope a/c (0 <= a < c <= N) plus infinity to its root."""
-    out: dict[Slope, object] = {Slope.infinity(): uf.find(("inf",))}
+    out: dict[Slope, int] = {Slope.infinity(): uf.find(("inf",))}
     for c in range(1, N + 1):
         for a in range(c):
             if gcd(a, c) == 1:

@@ -54,6 +54,8 @@ class HNSlice:
     def __post_init__(self) -> None:
         if not self.members:
             raise ValueError("slice needs at least one member")
+        if primitive(self.total_charge) != self.phase.dir:
+            raise ValueError("slice charge must lie on its phase")
 
     def to_json(self) -> dict:
         return {

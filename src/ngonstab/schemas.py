@@ -71,8 +71,8 @@ MAX_BOX = 200
 # 1.13 MB of JSON, which takes about 23 ms to serialize (classify 316
 # --slope=1/316, Python 3.11 on a 2-CPU x86-64 machine).
 MAX_RIGID_DEGREES = 100_000
-# The cusp partition oracle of phase-classes --oracle takes about 1 s at
-# this level.
+# The cusp partition oracle of phase-classes --oracle takes about 0.5 s
+# at this level (Python 3.11 on a 2-CPU x86-64 machine).
 MAX_ORACLE_LEVEL = 150
 # semistable --oracle reports null above these: the chain oracle is cubic
 # in the chain length k (7-10 ms at the cap), the band oracle exponential

@@ -112,19 +112,41 @@ def _passed(call: ast.Call, params: list[str]) -> set[str]:
     return set(params[: len(call.args)]) | {kw.arg for kw in call.keywords}
 
 
-def _calls(call: ast.Call, module: str, public: str) -> bool:
+def _module_aliases(tree: ast.Module) -> dict[str, str]:
+    """Names a file binds to one of MODULES by a simple assignment
+    (`sh = self.ng.sheaves`, `sh, hn = ng.sheaves, ng.hn`), each mapped
+    to the module's short name."""
+    shorts = {name.rsplit(".", 1)[-1] for name in MODULES}
+    aliases = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = zip(target.elts, node.value.elts)
+            for name, value in pairs:
+                short = getattr(value, "attr", getattr(value, "id", None))
+                if isinstance(name, ast.Name) and short in shorts:
+                    aliases[name.id] = short
+    return aliases
+
+
+def _calls(call: ast.Call, module: str, public: str, aliases: dict[str, str]) -> bool:
     """Whether a call is one of `public` in `module`: by its bare name, or
     as an attribute of the module's short name (`cli.run`,
-    `self.ng.cli.run`).  A method of the same name on another object
-    (`subprocess.run`, `runner.run`) is not a call of it."""
+    `self.ng.cli.run`) or of a name `aliases` binds to the module
+    (`sh.brute_force_band_verdict` after `sh = self.ng.sheaves`).  A
+    method of the same name on another object (`subprocess.run`,
+    `runner.run`) is not a call of it."""
     func = call.func
     if isinstance(func, ast.Name):
         return func.id == public
     if not isinstance(func, ast.Attribute) or func.attr != public:
         return False
     short = module.rsplit(".", 1)[-1]
-    owner = func.value
-    return short in (getattr(owner, "id", None), getattr(owner, "attr", None))
+    owner = getattr(func.value, "id", None)
+    return short in (aliases.get(owner, owner), getattr(func.value, "attr", None))
 
 
 def _default_uses() -> dict[str, list[bool]]:
@@ -132,12 +154,11 @@ def _default_uses() -> dict[str, list[bool]]:
     in the library, the benchmark or the tests passes it."""
     files = [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py")]
     files += (ROOT / "tests").glob("*.py")
-    calls = [
-        node
-        for path in files
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call)
-    ]
+    calls = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = _module_aliases(tree)
+        calls += [(node, aliases) for node in ast.walk(tree) if isinstance(node, ast.Call)]
     uses = {}
     for name in MODULES:
         module = importlib.import_module(name)
@@ -149,8 +170,8 @@ def _default_uses() -> dict[str, list[bool]]:
             names = [p.name for p in params]
             passed = [
                 _passed(call, names)
-                for call in calls
-                if _calls(call, name, public)
+                for call, aliases in calls
+                if _calls(call, name, public, aliases)
             ]
             for p in params:
                 if p.default is not p.empty:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from math import gcd
 
 import pytest
 
+from ngonstab import gamma0
 from ngonstab.charges import Slope
 from ngonstab.gamma0 import (
     CuspClass,
@@ -18,6 +20,7 @@ from ngonstab.gamma0 import (
     in_gamma0,
     restrict_partition_to_small_slopes,
     _complete,
+    _euler_phi,
 )
 from ngonstab.schemas import SchemaError, mat2_from_json
 
@@ -165,7 +168,7 @@ def test_enumerate_cusp_classes():
 # brute-force oracles
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8, 12, 16, 18, 20])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8, 12, 16, 18, 20, 90, 150])
 def test_partition_matches_closed_form(N):
     uf = brute_force_cusp_partition(N)
     restricted = restrict_partition_to_small_slopes(N, uf)
@@ -182,3 +185,90 @@ def test_partition_matches_pairwise_equivalence():
             for s2 in slopes:
                 same_orbit = restricted[s1] == restricted[s2]
                 assert same_orbit == cusp_equivalent(N, s1, s2), (N, s1, s2)
+
+
+
+def _batch(N):
+    """The oracle's batch as (c, d) pairs: c = N..10N, d = 1..2N+1 coprime."""
+    return [
+        (c, d)
+        for c in range(N, 10 * N + 1, N)
+        for d in range(1, 2 * N + 2)
+        if gcd(c, d) == 1
+    ]
+
+
+def _reference_partition(N, pairs):
+    """The oracle's search written out literally: tuple node keys, a dict
+    union-find, and every bisect window of the matrices [[a, b], [c, d]]
+    named by `pairs` (each checked by in_gamma0) with no early stop.
+    Returns the classes as a set of frozensets of node keys."""
+    bound = 2 * N
+    table = {}
+    for c, d in sorted(pairs):
+        a = pow(d, -1, c)
+        M = Mat2(a, (a * d - 1) // c, c, d)
+        assert in_gamma0(M, N)
+        ds, mats = table.setdefault(c, ([], []))
+        ds.append(d)
+        mats.append(M)
+    nodes = [(q, p0) for q in range(1, bound + 1) for p0 in range(q) if gcd(p0, q) == 1]
+    parent = {x: x for x in [("inf",), *nodes]}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for q, p0 in nodes:
+        for p in (p0 - q, p0, p0 + q):
+            for c, (ds, mats) in table.items():
+                cp = c * p
+                d_lo = 1 if cp >= -bound else -((bound + cp) // q)
+                d_hi = (bound - cp) // q
+                for M in mats[bisect_left(ds, d_lo):bisect_right(ds, d_hi)]:
+                    num, den = M.a * p + M.b * q, M.c * p + M.d * q
+                    if den < 0:
+                        num, den = -num, -den
+                    image = (den, num % den) if den else ("inf",)
+                    parent[find((q, p0))] = find(image)
+    for c, (_, mats) in table.items():
+        if c <= bound:
+            for M in mats:
+                parent[find(("inf",))] = find((c, M.a % c))
+    return _classes(parent, find)
+
+
+def _classes(keys, find):
+    classes = {}
+    for x in keys:
+        classes.setdefault(find(x), set()).add(x)
+    return {frozenset(v) for v in classes.values()}
+
+
+def test_partition_equals_the_literal_search_on_every_node():
+    for N in range(1, 31):
+        uf = brute_force_cusp_partition(N)
+        assert len(uf.parent) == 1 + sum(_euler_phi(q) for q in range(1, 2 * N + 1))
+        assert _classes(uf.ids, uf.find) == _reference_partition(N, _batch(N)), N
+
+
+def test_partition_equals_the_literal_search_on_small_batches(monkeypatch):
+    """With one to three matrices most edges are needed, so an early stop
+    that skips a non-empty window shows as a finer partition."""
+    rng = random.Random(19)
+    for N in range(1, 13):
+        for k in [1, 2, 3] * 13:
+            pairs = sorted(rng.sample(_batch(N), k))
+            table = {}
+            for c, d in pairs:
+                a = pow(d, -1, c)
+                ds, rows = table.setdefault(c, ([], []))
+                ds.append(d)
+                rows.append((a, (a * d - 1) // c))
+            monkeypatch.setattr(
+                gamma0, "_gamma0_edge_table",
+                lambda n: [(c, ds, rows) for c, (ds, rows) in table.items()],
+            )
+            uf = brute_force_cusp_partition(N)
+            assert _classes(uf.ids, uf.find) == _reference_partition(N, pairs), (N, pairs)

@@ -140,6 +140,30 @@ def test_int_tuple_fields_refuse_non_integers(cls, fields, name):
     assert type(stored) is tuple and stored == good
 
 
+CHARGE_FIELDS = [(cls, fields, name) for cls, fields, name in TUPLE_FIELDS
+                 if cls.__annotations__[name] == "ChargeVec"]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, name",
+    CHARGE_FIELDS,
+    ids=[f"{cls.__name__}.{name}" for cls, _, name in CHARGE_FIELDS],
+)
+def test_charge_fields_refuse_other_than_two_entries(cls, fields, name):
+    for bad in ((), (1,), (0, 1, 2)):
+        with pytest.raises(ValueError, match=f"^{name} must have two entries$"):
+            cls(**{**fields, name: bad})
+
+
+def test_a_slice_charge_lies_on_its_phase():
+    assert HNSlice(PHASE, (0, 3), (0,)).total_charge == (0, 3)
+    for off in ((-5, 1), (0, -1), (1, 1)):
+        with pytest.raises(ValueError, match="^slice charge must lie on its phase$"):
+            HNSlice(PHASE, off, (0,))
+    with pytest.raises(ValueError, match="^zero vector has no direction$"):
+        HNSlice(PHASE, (0, 0), (0,))
+
+
 def test_defaults_and_class_constants():
     assert KAuto(1, ((1, 0), (0, 1))).amplitude_certificate is None
     assert BandSheaf(2, 1, (0, 1), A).m == 1
