@@ -19,9 +19,10 @@ import sys
 from json.encoder import encode_basestring_ascii as _escape
 
 from . import schemas
-from .charges import charge, slope_to_phase
+from .charges import charge, phase_of_charge, slope_to_phase
 from .compat import (
     check_compatibility,
+    check_order,
     conjugate_by_D,
     lift_k_matrix,
     order_preserved_brute_force,
@@ -151,7 +152,7 @@ def _cmd_check_compat(args):
     if args.oracle and report.descended is not None:
         plane = conjugate_by_D(report.descended)
         payload["order_oracle"] = {
-            "shortcut": report.order_preserved,
+            "shortcut": check_order(plane, auto.n),
             "cyclic_box_search": order_preserved_brute_force(plane, auto.n, args.box),
             "sampled_pairs": sampled_pairwise_order(
                 plane, auto.n, args.box, seed=args.seed
@@ -185,10 +186,11 @@ def _cmd_hn(args):
 def _cmd_charge(args):
     obj = schemas.object_from_json(schemas.load_json(args.file))
     k = k_class(obj)
+    c = charge(k)
     return {
         "k_class": k.to_json(),
-        "charge": list(charge(k)),
-        "phase": phase(obj).to_json(),
+        "charge": list(c),
+        "phase": phase_of_charge(c).to_json(),
     }
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .charges import (
     ChargeVec,
@@ -106,11 +107,8 @@ def _mat_det(m: IntMatrix) -> int:
 
 
 def _mat_mul(x: IntMatrix, y: IntMatrix) -> IntMatrix:
-    n = len(x)
-    return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    cols = tuple(zip(*y))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in x)
 
 
 def _mat_identity(n: int) -> IntMatrix:
@@ -181,9 +179,6 @@ class KAuto:
         ):
             raise ValueError("amplitude certificate must be an integer or None")
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.matrix[i][j] for i in range(self.n + 1))
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -207,9 +202,8 @@ def check_kernel(A: KAuto) -> bool:
 
 def _descend_matrix(A: KAuto) -> Mat2:
     """Induced 2x2 matrix in the basis (charge(e_0), charge(e_1))."""
-    c0 = A.column(0)
-    c1 = A.column(1)
-    return Mat2(c0[0], c1[0], sum(c0[1:]), sum(c1[1:]))
+    top, *rest = A.matrix
+    return Mat2(top[0], top[1], sum(r[0] for r in rest), sum(r[1] for r in rest))
 
 
 def conjugate_by_D(M: Mat2) -> Mat2:
@@ -267,10 +261,10 @@ _VERDICTS = (
 
 @value_class
 class CompatReport:
-    kernel_preserved: bool
+    """Verdict, descended matrix and critical phase; the JSON's gate flags
+    are read off them (det +1 is also check_order's closed form)."""
+
     descended: Mat2 | None
-    det_plus_one: bool
-    order_preserved: bool
     m_value: PhasePoint | None
     verdict: str
 
@@ -279,15 +273,17 @@ class CompatReport:
             raise ValueError(f"unknown verdict {self.verdict!r}")
         compatible = self.verdict == "Compatible-by-criterion"
         assert (self.m_value is not None) == compatible
-        if compatible:
-            assert self.kernel_preserved and self.det_plus_one and self.order_preserved
+        assert (self.descended is not None) == (
+            compatible or self.verdict == "MissingAmplitude"
+        )
 
     def to_json(self) -> dict:
+        descended = self.descended is not None
         return {
-            "kernel_preserved": self.kernel_preserved,
-            "descended": None if self.descended is None else self.descended.to_json(),
-            "det_plus_one": self.det_plus_one,
-            "order_preserved": self.order_preserved,
+            "kernel_preserved": self.verdict != "FailsKernel",
+            "descended": self.descended.to_json() if descended else None,
+            "det_plus_one": descended,
+            "order_preserved": descended,
             "m_value": None if self.m_value is None else self.m_value.to_json(),
             "verdict": self.verdict,
         }
@@ -305,14 +301,14 @@ def check_compatibility(A: KAuto) -> CompatReport:
     amplitude is a statement about objects, not classes).
     """
     if not check_kernel(A):
-        return CompatReport(False, None, False, False, None, "FailsKernel")
+        return CompatReport(None, None, "FailsKernel")
     raw = _descend_matrix(A)
     if raw.det != 1:
-        return CompatReport(True, None, False, False, None, "FailsOrientation")
+        return CompatReport(None, None, "FailsOrientation")
     if A.amplitude_certificate is None:
-        return CompatReport(True, raw, True, True, None, "MissingAmplitude")
+        return CompatReport(raw, None, "MissingAmplitude")
     m = compute_m(conjugate_by_D(raw), A.n)
-    return CompatReport(True, raw, True, True, m, "Compatible-by-criterion")
+    return CompatReport(raw, m, "Compatible-by-criterion")
 
 
 def lift_k_matrix(n: int, M: Mat2) -> KAuto:

@@ -17,7 +17,6 @@ from .charges import (
     ChargeVec,
     PhasePoint,
     _int_tuple,
-    compare_phase,
     in_h_prime,
     phase_cmp,
     phase_sort_key,
@@ -45,17 +44,20 @@ __all__ = [
 
 @value_class
 class HNSlice:
-    """One semistable layer: its phase, total charge, and summand indices."""
+    """One semistable layer: total charge and summand indices."""
 
-    phase: PhasePoint
     total_charge: ChargeVec
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.members:
             raise ValueError("slice needs at least one member")
-        if primitive(self.total_charge) != self.phase.dir:
-            raise ValueError("slice charge must lie on its phase")
+        if self.total_charge == (0, 0):
+            raise ValueError("zero vector has no direction")
+
+    @property
+    def phase(self) -> PhasePoint:
+        return PhasePoint(0, self.total_charge)
 
     def to_json(self) -> dict:
         return {
@@ -72,7 +74,7 @@ class HNResult:
     def __post_init__(self) -> None:
         object.__setattr__(self, "slices", tuple(self.slices))
         for prev, nxt in zip(self.slices, self.slices[1:]):
-            if compare_phase(prev.phase, nxt.phase) != "GT":
+            if phase_cmp(prev.total_charge, nxt.total_charge) != 1:
                 raise ValueError("slice phases must strictly decrease")
 
     @property
@@ -87,8 +89,8 @@ class HNResult:
 
 def _phase_groups(
     charges: list[ChargeVec],
-) -> list[tuple[PhasePoint, ChargeVec, tuple[int, ...]]]:
-    """(phase, summed charge, indices) per primitive direction, descending."""
+) -> list[tuple[ChargeVec, tuple[int, ...]]]:
+    """(summed charge, indices) per primitive direction, descending."""
     groups: dict[ChargeVec, list[int]] = {}
     for idx, c in enumerate(charges):
         groups.setdefault(primitive(c), []).append(idx)
@@ -97,7 +99,7 @@ def _phase_groups(
         members = tuple(groups[d])
         re = sum(charges[i][0] for i in members)
         im = sum(charges[i][1] for i in members)
-        out.append((PhasePoint(0, d), (re, im), members))
+        out.append(((re, im), members))
     return out
 
 
@@ -176,7 +178,7 @@ def hn_polygon(charges: list[ChargeVec]) -> HNPolygon:
     """
     cleaned = [_charge(c) for c in charges]
     vertices = [(0, 0)]
-    for _, (re, im), _ in _phase_groups(cleaned):
+    for (re, im), _ in _phase_groups(cleaned):
         vertices.append((vertices[-1][0] + re, vertices[-1][1] + im))
     return HNPolygon(tuple(vertices))
 

@@ -66,8 +66,9 @@ def test_golden_outputs(golden_name, argv):
 
 
 def test_scalar_payload_prints_bare():
-    code, text = run(["phase-classes", "6"])
-    assert (code, text) == (0, "4\n")
+    for fmt in ("json", "table"):
+        code, text = run(["phase-classes", "6", "--format", fmt])
+        assert (code, text) == (0, "4\n")
 
 
 def test_runs_are_deterministic():
@@ -250,6 +251,15 @@ def test_schema_error_exits_two(tmp_path):
         (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
         # refused before conversion, past Python's own 4,300-digit limit
         (b'{"n": 2, "summands": [' + b"7" * 5000 + b"]}", f"cap of {MAX_INT_DIGITS} digits"),
+        (
+            b'{"n": 2, "summands": [{"type": "band", "r": 1, "multideg": [0, 0], "lambda": 1}]}',
+            "error: label must be a string\n",
+        ),
+        (
+            b'{"n": 2, "summands": [{"type": "torsion", "length": 1, "position":'
+            b' {"kind": "smooth", "component": 0, "label": 5}}]}',
+            "error: smooth position label must be a string\n",
+        ),
     ]:
         bad.write_bytes(content)
         for verb in ("charge", "semistable"):

@@ -66,6 +66,31 @@ def test_kauto_validation():
         KAuto(1, ((1, 0), (0, 1)), amplitude_certificate="2")
 
 
+REFUSALS = [
+    pytest.param(KAuto, (0, ((1,),)), "^n must be a positive integer$", id="kauto-level-0"),
+    pytest.param(iota_kauto, (0,), "^n must be a positive integer$", id="iota-level-0"),
+    pytest.param(compute_m, (ROT, 0), "^n must be a positive integer$", id="m-level-0"),
+    pytest.param(
+        order_preserved_brute_force, (ROT, 0, 3), "^n must be a positive integer$",
+        id="oracle-level-0",
+    ),
+    pytest.param(
+        order_preserved_brute_force, (Mat2(2, 0, 0, 1), 1, 3),
+        "^order check expects an invertible integer matrix$", id="oracle-det-2",
+    ),
+    pytest.param(
+        CompatReport, (None, None, "Compatible"), "^unknown verdict 'Compatible'$",
+        id="report-verdict",
+    ),
+]
+
+
+@pytest.mark.parametrize("func, args, message", REFUSALS)
+def test_refusals(func, args, message):
+    with pytest.raises(ValueError, match=message):
+        func(*args)
+
+
 def test_kauto_json_round_trip():
     a = iota_kauto(3)
     assert kauto_from_json(a.to_json()) == a
@@ -155,8 +180,9 @@ def test_known_compatibles():
         report = check_compatibility(a)
         assert report.verdict == "Compatible-by-criterion"
         assert report.descended == Mat2.identity()
-        assert report.kernel_preserved and report.det_plus_one
-        assert report.order_preserved
+        flags = report.to_json()
+        assert flags["kernel_preserved"] and flags["det_plus_one"]
+        assert flags["order_preserved"]
         assert report.m_value is not None
 
 
@@ -166,8 +192,9 @@ def test_verdict_ladder():
     swap = KAuto(1, ((0, 1), (1, 0)))
     report = check_compatibility(swap)
     assert report.verdict == "FailsOrientation"
-    assert report.kernel_preserved and not report.det_plus_one
-    assert report.descended is None and not report.order_preserved
+    flags = report.to_json()
+    assert flags["kernel_preserved"] and not flags["det_plus_one"]
+    assert report.descended is None and not flags["order_preserved"]
     # a genuine lift with the certificate stripped off
     lifted = lift_k_matrix(2, Mat2(1, 1, 2, 3))
     bare = KAuto(2, lifted.matrix, None)

@@ -107,6 +107,20 @@ def test_cusp_class_validation():
         CuspClass(4, 2, 2)  # a not coprime to c
 
 
+LEVEL_ZERO = [
+    pytest.param(lambda: in_gamma0(Mat2.identity(), 0), id="in_gamma0"),
+    pytest.param(lambda: class_count(0), id="class_count"),
+    pytest.param(lambda: cusp_class(0, Slope(1, 2)), id="cusp_class"),
+    pytest.param(lambda: brute_force_cusp_partition(0), id="partition"),
+]
+
+
+@pytest.mark.parametrize("call", LEVEL_ZERO)
+def test_level_zero_is_refused(call):
+    with pytest.raises(ValueError, match="^level must be a positive integer$"):
+        call()
+
+
 def test_cusp_equivalent():
     assert cusp_equivalent(4, Slope(1, 2), Slope(3, 2))
     assert not cusp_equivalent(9, Slope(1, 3), Slope(2, 3))

@@ -67,7 +67,7 @@ def test_a_lone_summand_is_a_one_summand_object():
 
 
 def _reference_groups(charges):
-    """(phase, summed charge, indices) per PhasePoint, by its sort key."""
+    """(summed charge, indices) per PhasePoint, by its sort key."""
     groups = {}
     for idx, c in enumerate(charges):
         groups.setdefault(phase_of_charge(c), []).append(idx)
@@ -76,7 +76,7 @@ def _reference_groups(charges):
         members = groups[p]
         re = sum(charges[i][0] for i in members)
         im = sum(charges[i][1] for i in members)
-        out.append((p, (re, im), tuple(members)))
+        out.append(((re, im), tuple(members)))
     return out
 
 
@@ -112,7 +112,7 @@ def _ray_objects(draw):
 @settings(max_examples=150)
 def test_grouping_matches_the_phase_point_reference(charges, obj):
     vertices = [(0, 0)]
-    for _, (re, im), _ in _reference_groups(charges):
+    for (re, im), _ in _reference_groups(charges):
         vertices.append((vertices[-1][0] + re, vertices[-1][1] + im))
     assert hn_polygon(charges).vertices == tuple(vertices)
     parts = [object_charge(x) for x in obj.summands]
@@ -121,15 +121,15 @@ def test_grouping_matches_the_phase_point_reference(charges, obj):
 
 
 def test_hn_result_validates_order():
-    up = HNSlice(PhasePoint(0, (0, 1)), (0, 1), (0,))
-    down = HNSlice(PhasePoint(0, (-1, 0)), (-1, 0), (1,))
+    up = HNSlice((0, 1), (0,))
+    down = HNSlice((-1, 0), (1,))
     HNResult((down, up))
     with pytest.raises(ValueError):
         HNResult((up, down))
     with pytest.raises(ValueError):
         HNResult((down, down))
     with pytest.raises(ValueError):
-        HNSlice(PhasePoint(0, (0, 1)), (0, 1), ())
+        HNSlice((0, 1), ())
 
 
 def test_result_json_shape():

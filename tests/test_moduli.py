@@ -115,6 +115,8 @@ def test_stable_vb_construct():
         stable_vb_construct(6, 1, 2, (1, 1), A)
     with pytest.raises(ValueError):
         stable_vb_construct(6, 1, 4, (1, 0, 0, 0), A)
+    with pytest.raises(ValueError, match="^line_data must have one degree per component$"):
+        stable_vb_construct(6, 1, 2, (1,), A)
 
 
 # ---------------------------------------------------------------------------

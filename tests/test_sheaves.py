@@ -108,6 +108,12 @@ def test_constructor_validation():
         TorsionSheaf(3, SmoothPoint(0, "p"), 0)
     with pytest.raises(ValueError):
         TorsionSheaf(3, "somewhere", 1)
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        ChainSheaf(0, 1, 0, (0,))
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        TorsionSheaf(0, NodePoint(0), 1)
+    with pytest.raises(ValueError, match="^smooth point label must be a string$"):
+        SmoothPoint(0, 5)
 
 
 def test_positions_refuse_booleans():
@@ -184,6 +190,7 @@ def test_sheaf_object_canonical_order():
     c = ChainSheaf(2, 1, 0, (0,))
     assert SheafObject((c, t)) == SheafObject((t, c))
     assert SheafObject((c, t)).summands[0] is t
+    assert SheafObject([c, t]).summands == (t, c)
     with pytest.raises(ValueError):
         SheafObject(())
     with pytest.raises(ValueError):
@@ -309,6 +316,8 @@ def test_tensor_line_pins():
         tensor_line(c, (1, 0, 0), ONE, triv_only=True)
     with pytest.raises(ValueError):
         tensor_line(c, (1, 0), ONE)
+    with pytest.raises(ValueError, match="^mu must be a Label$"):
+        tensor_line(c, (0, 0, 0), "a")
     assert tensor_line(c, (0, 0, 0), B, triv_only=True) == ChainSheaf(
         3, 2, 2, (1, 5)
     )
@@ -523,6 +532,8 @@ def test_long_balanced_summands_are_stable():
 
 def test_object_charge_matches_k_class():
     corpus = random_corpus(42, 300, kinds=("chain", "band", "torsion"))
+    with pytest.raises(ValueError, match="^unknown summand kind 'spiral'$"):
+        random_corpus(42, 1, kinds=("spiral",))
     assert {s.m for s in corpus if isinstance(s, BandSheaf)} == {1, 2}
     assert {type(s) for s in corpus} == {ChainSheaf, BandSheaf, TorsionSheaf}
     for s in corpus:
@@ -544,6 +555,7 @@ FUNCTORS = {
     "galois_translate": lambda s: galois_translate(s, 1),
     "tensor_line": lambda s: tensor_line(s, (0,), ONE),
     "double_shift": double_shift,
+    "summand_to_json": summand_to_json,
 }
 
 
