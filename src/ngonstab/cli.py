@@ -6,9 +6,9 @@ for byte what json.dumps(payload, indent=2) prints, from one walk of the
 payload (`_dumps`).  `--format table` renders the same payload as flat
 key/value lines for reading, never for parsing back.  `--oracle`, on the
 four verbs that have a brute-force cross-check, runs it and reports both
-answers; `--box` sets the lattice radius of the `check-compat` oracles
-and `--seed` feeds the sampled one.  Input is decoded and capped in
-`schemas`, whose docstring states the exit codes.
+answers; `--box` sets the lattice radius of the `check-compat` oracle.
+`--seed` still parses but is not read (ROADMAP item 7).  Input is
+decoded and capped in `schemas`, whose docstring states the exit codes.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .compat import (
     conjugate_by_D,
     lift_k_matrix,
     order_preserved_brute_force,
-    sampled_pairwise_order,
 )
 from .gamma0 import (
     brute_force_cusp_partition,
@@ -98,8 +97,9 @@ _ORACLE = ("--oracle", dict(action="store_true", help="also run the oracle"))
 _BOX = ("--box", dict(type=_capped(schemas.MAX_BOX, "box radius"), default=25))
 _SEED = (
     "--seed",
-    dict(type=_argument(schemas.parse_integer), default=0,
-         help="seed for the sampled oracle"),
+    dict(type=_argument(schemas.parse_integer),
+         help="accepted and ignored; goes once the benchmark stops passing it "
+         "(ROADMAP item 7)"),
 )
 _KMATRIX = ("file", dict(help="K-matrix JSON file"))
 _K_LEVEL = ("n", dict(type=_capped(schemas.MAX_K_N, "level")))
@@ -154,9 +154,6 @@ def _cmd_check_compat(args):
         payload["order_oracle"] = {
             "shortcut": check_order(plane, auto.n),
             "cyclic_box_search": order_preserved_brute_force(plane, auto.n, args.box),
-            "sampled_pairs": sampled_pairwise_order(
-                plane, auto.n, args.box, seed=args.seed
-            ),
         }
     return payload
 

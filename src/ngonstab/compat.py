@@ -32,7 +32,6 @@ the K-maps between levels that sum over, or fold, the sheets of the cover.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from math import gcd
 from operator import mul
@@ -63,7 +62,6 @@ __all__ = [
     "identity_kauto",
     "shift_square_kauto",
     "order_preserved_brute_force",
-    "sampled_pairwise_order",
     "box_sup_phase",
 ]
 
@@ -458,35 +456,6 @@ def order_preserved_brute_force(M: Mat2, n: int, box: int) -> bool:
                 return False
         px, py, p_up = x, y, up
     return True
-
-
-_SAMPLES = 2000
-
-
-def sampled_pairwise_order(M: Mat2, n: int, box: int, seed: int = 0) -> dict:
-    """Seeded random sample of the all-pairs cyclic order check.
-
-    The full pairwise scan is quadratic in the box population, so the
-    command-line oracle draws `_SAMPLES` pairs instead; the result
-    reports how many were drawn and how many violated the order.  Both
-    circles are cut, the source one at the first member and the image
-    one at its image, so a pair keeps its order exactly when its triple
-    with the first member keeps its cyclic order.
-    """
-    images = [phase_sort_key(M.matvec(v)) for v in _box_members(M, n, box)]
-    if not images:
-        raise ValueError("no members in the box")
-    # members arrive sorted by phase with no ties, so the cut source
-    # circle orders them by index; the cut image circle starts at images[0]
-    cut = images[0]
-    cyclic = [(img < cut, img) for img in images]
-    rng = random.Random(seed)
-    violations = 0
-    for _ in range(_SAMPLES):
-        i, j = sorted((rng.randrange(len(cyclic)), rng.randrange(len(cyclic))))
-        if i < j and not cyclic[i] < cyclic[j]:
-            violations += 1
-    return {"box": box, "samples": _SAMPLES, "violations": violations}
 
 
 def box_sup_phase(M: Mat2, n: int, box: int) -> tuple[PhasePoint, ChargeVec]:

@@ -48,8 +48,9 @@ __all__ = [
     "parse_slope",
 ]
 
-# A level, the n of a sheaf object and the covering cycle n*r of a band
-# count curve components; a K-class lists one rank per component.
+# A level, the n of a sheaf object, the length k of a chain and the
+# covering cycle n*r of a band count curve components; a K-class lists
+# one rank per component.
 MAX_N = 10_000
 # A K-matrix has n + 1 rows; a lift is built in O(n^2), but checking the
 # determinant of any K-matrix, lifted or decoded, is cubic in n (`lift`
@@ -75,9 +76,11 @@ MAX_RIGID_DEGREES = 100_000
 # at this level (Python 3.11 on a 2-CPU x86-64 machine).
 MAX_ORACLE_LEVEL = 150
 # semistable --oracle reports null above these: the chain oracle is cubic
-# in the chain length k (7-10 ms at the cap), the band oracle exponential
-# in the cycle length n*r.  It refuses files of more summands than
-# MAX_ORACLE_VERDICTS, about 1 s of chains at the chain cap.
+# in the chain length k, the band oracle exponential in the cycle length
+# n*r.  It refuses files of more summands than MAX_ORACLE_VERDICTS: 100
+# chains at the chain cap take 0.7-1.1 s with one-digit degrees and
+# 1.7-2.6 s with degrees of MAX_INT_DIGITS digits (Python 3.11 on a
+# 2-CPU x86-64 machine).
 MAX_ORACLE_CHAIN = 100
 MAX_ORACLE_BAND = 6
 MAX_ORACLE_VERDICTS = 100
@@ -252,6 +255,7 @@ def _summand(n: int, obj: object):
         return BandSheaf(n, r, multideg, lam, m)
     if kind == "chain":
         k, start = _int(obj, "k", "chain"), _int(obj, "start", "chain")
+        check_cap(k, MAX_N, "chain k")  # a chain of k lines is a curve too
         return ChainSheaf(n, k, start, _ints(obj, "multideg", "chain"))
     if kind == "torsion":
         where = _object(_field(obj, "position", "torsion"), "torsion position")

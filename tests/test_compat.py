@@ -28,7 +28,6 @@ from ngonstab.compat import (
     iota_kauto,
     lift_k_matrix,
     order_preserved_brute_force,
-    sampled_pairwise_order,
     shift_square_kauto,
     _box_members,
     _mat_identity,
@@ -354,34 +353,9 @@ def test_box_sup_phase_refuses_an_empty_box():
         box_sup_phase(Mat2.identity(), 1, 0)
 
 
-def test_sampled_pairwise_order_refuses_an_empty_box():
-    with pytest.raises(ValueError, match="no members in the box"):
-        sampled_pairwise_order(Mat2.identity(), 1, 0)
-
-
 def test_cyclic_oracle_handles_negated_representatives():
     # the cyclic walk accepts a matrix and its negative alike, matching
     # the determinant rule
     m = Mat2(-1, 0, -2, -1)
     assert order_preserved_brute_force(m, 2, 10)
     assert order_preserved_brute_force(-m, 2, 10)
-
-
-def test_sampled_pairs_match_cyclic_search():
-    rng = random.Random(11)
-    checked = 0
-    while checked < 200:
-        m = Mat2(*(rng.randint(-6, 6) for _ in range(4)))
-        if m.det not in (1, -1):
-            continue
-        checked += 1
-        sampled = sampled_pairwise_order(m, 2, box=6, seed=checked)
-        assert (sampled["violations"] == 0) == order_preserved_brute_force(m, 2, 6)
-        assert (sampled["violations"] == 0) == check_order(m, 2)
-
-
-def test_sampled_pairwise_oracle():
-    clean = sampled_pairwise_order(Mat2.identity(), 1, box=10, seed=4)
-    assert clean == {"box": 10, "samples": 2000, "violations": 0}
-    dirty = sampled_pairwise_order(Mat2(0, 1, 1, 0), 1, box=10, seed=4)
-    assert dirty["violations"] > 0

@@ -14,7 +14,7 @@ import ngonstab
 
 SOURCES = {p.name: p for p in Path(ngonstab.__file__).parent.glob("*.py")}
 IMPORTERS = {"cli.py"}
-LIBRARY = ["charges.py", "gamma0.py", "compat.py", "sheaves.py"]
+LIBRARY = sorted(set(SOURCES) - {"cli.py", "schemas.py", "__init__.py"})
 
 
 def _imports_schemas(tree: ast.AST) -> bool:
