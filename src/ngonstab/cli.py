@@ -9,14 +9,23 @@ four verbs that have a brute-force cross-check, runs it and reports both
 answers; `--box` sets the lattice radius of the `check-compat` oracle.
 `--seed` still parses but is not read (ROADMAP item 7).  Input is
 decoded and capped in `schemas`, whose docstring states the exit codes.
+
+Arguments are read in two tiers from one verb table (`_VERBS`).  `_read`
+takes argv in canonical form (the verb, its positionals and each of its
+flags at most once, as --flag, --flag=value or --flag value) straight
+from the table, giving the attributes argparse would.  It declines
+anything else, and argparse parses that argv: help, every usage error and
+every unusual but valid form.  So stdout, stderr and exit codes are what
+argparse alone gives, and `argparse` is imported only on a decline.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _escape
+from types import SimpleNamespace
 
 from . import schemas
 from .charges import charge, phase_of_charge, slope_to_phase
@@ -54,6 +63,7 @@ __all__ = ["main", "run"]
 def _argument(parse):
     """Argparse type from parse, a function of the argument text; it raises
     only ArgumentTypeError, as argparse lets a SchemaError escape."""
+    import argparse
 
     def typed(text: str) -> int:
         try:
@@ -65,7 +75,7 @@ def _argument(parse):
 
 
 def _capped(cap: int, what: str):
-    """Argparse type for a positive integer that is refused above cap."""
+    """Parse function for a positive integer that is refused above cap."""
 
     def parse(text: str) -> int:
         value = schemas.parse_integer(text)
@@ -73,11 +83,13 @@ def _capped(cap: int, what: str):
             raise ValueError("expected a positive integer")
         return check_cap(value, cap, what)
 
-    return _argument(parse)
+    return parse
 
 
 # The verb table: verb -> (handler, help, arguments), each argument a
-# (name, add_argument options) pair that _build_parser adds to the verb.
+# (name, add_argument options) pair.  An argument's "type" is the parse
+# function itself, raising ValueError or SchemaError: _read calls it as it
+# is, and _build_parser wraps it in _argument.
 _VERBS: dict[str, tuple] = {}
 
 
@@ -97,7 +109,7 @@ _ORACLE = ("--oracle", dict(action="store_true", help="also run the oracle"))
 _BOX = ("--box", dict(type=_capped(schemas.MAX_BOX, "box radius"), default=25))
 _SEED = (
     "--seed",
-    dict(type=_argument(schemas.parse_integer),
+    dict(type=schemas.parse_integer,
          help="accepted and ignored; goes once the benchmark stops passing it "
          "(ROADMAP item 7)"),
 )
@@ -220,10 +232,13 @@ def _cmd_semistable(args):
     return {"n": obj.n, "verdicts": rows}
 
 
-# Built once per process: parse_args leaves the parser as it was and the
-# argument types are pure, so every run can share it.
+# Built once per process, and only for argv that _read declines:
+# parse_args leaves the parser as it was and the argument types are pure,
+# so every run can share it.
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
+
     # allow_abbrev=False: only full flag names, so a flag added to a verb
     # cannot change what an abbreviation used to mean
     parser = argparse.ArgumentParser(
@@ -235,9 +250,86 @@ def _build_parser() -> argparse.ArgumentParser:
     for verb, (func, help_text, arguments) in _VERBS.items():
         p = sub.add_parser(verb, help=help_text, allow_abbrev=False)
         for name, options in (_FORMAT, *arguments):
+            if "type" in options:
+                options = dict(options, type=_argument(options["type"]))
             p.add_argument(name, **options)
         p.set_defaults(func=func)
     return parser
+
+
+@functools.cache
+def _layout(verb: str) -> tuple:
+    """What _read needs of a verb, from its table entry: the attributes
+    argparse sets before it reads argv, the positionals as (name, type)
+    in order, each flag as name -> (dest, switch, type, choices), and
+    the required flags."""
+    func, _, arguments = _VERBS[verb]
+    defaults = {"verb": verb, "func": func}
+    positionals, flags, required = [], {}, set()
+    for name, options in (_FORMAT, *arguments):
+        parse = options.get("type")
+        if not name.startswith("--"):
+            positionals.append((name, parse))
+            continue
+        dest, switch = name[2:], options.get("action") == "store_true"
+        defaults[dest] = options.get("default", False if switch else None)
+        flags[name] = (dest, switch, parse, options.get("choices"))
+        if options.get("required"):
+            required.add(name)
+    return defaults, positionals, flags, required
+
+
+def _read(argv: list[str]):
+    """The attributes _build_parser().parse_args(argv) would give, read
+    straight from the verb table, or None for argparse to answer.
+
+    It reads the verb, its positionals, and each of its flags at most
+    once, as --flag, --flag=value or --flag value.  It declines, and
+    argparse then prints the help, the usage error or the same result,
+    on anything else: an unknown token, -h, -- or -, a repeated or
+    missing flag, a separate flag value that starts with -, a missing or
+    extra positional, a value outside the choices, or a value its type
+    refuses.
+    """
+    if not argv or argv[0] not in _VERBS:
+        return None
+    defaults, positionals, flags, required = _layout(argv[0])
+    values = dict(defaults)
+    seen, texts = set(), []
+    i, end = 1, len(argv)
+    try:
+        while i < end:
+            token = argv[i]
+            i += 1
+            if token[:1] != "-":
+                texts.append(token)
+                continue
+            name, eq, text = token.partition("=")
+            if name not in flags or name in seen:
+                return None
+            seen.add(name)
+            dest, switch, parse, choices = flags[name]
+            if switch:
+                if eq:
+                    return None
+                values[dest] = True
+                continue
+            if not eq:
+                if i == end or argv[i][:1] == "-":
+                    return None
+                text = argv[i]
+                i += 1
+            value = text if parse is None else parse(text)
+            if choices is not None and value not in choices:
+                return None
+            values[dest] = value
+        if len(texts) != len(positionals) or not required <= seen:
+            return None
+        for (dest, parse), text in zip(positionals, texts):
+            values[dest] = text if parse is None else parse(text)
+    except (ValueError, schemas.SchemaError):
+        return None
+    return SimpleNamespace(**values)
 
 
 def _walk(lines: list[str], prefix: str, value) -> None:
@@ -298,13 +390,16 @@ def _dumps(value, indent: str = "\n") -> str:
 
 
 def run(argv) -> tuple[int, str]:
-    """Parse, dispatch, and serialize; returns (exit code, output text)."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse already wrote its own message
-        return (int(exc.code) if exc.code else 0), ""
+    """Parse, dispatch, and serialize; returns (exit code, output text).
+    argv None reads sys.argv[1:], as argparse does."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse already wrote its own message
+            return (int(exc.code) if exc.code else 0), ""
     try:
         payload = args.func(args)
     except schemas.SchemaError as exc:
@@ -318,7 +413,19 @@ def run(argv) -> tuple[int, str]:
 
 def main(argv=None) -> int:
     code, text = run(argv)
-    (sys.stdout if code == 0 else sys.stderr).write(text)
+    stream = sys.stdout if code == 0 else sys.stderr
+    try:
+        if hasattr(stream, "reconfigure"):
+            # a table's subscripts on a stream that cannot encode them are
+            # written as backslash escapes, not a traceback
+            stream.reconfigure(errors="backslashreplace")
+        stream.write(text)
+        stream.flush()
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered goes to devnull, so
+        # the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return code or 1
     return code
 
 

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ngonstab
-from ngonstab.cli import _build_parser, main, run
+from ngonstab import cli
+from ngonstab.cli import _VERBS, _build_parser, _read, main, run
 from ngonstab.moduli import enumerate_rigid
 from ngonstab.schemas import (
     MAX_DET_WORK,
@@ -117,6 +118,36 @@ def _streams(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in GOLDEN_CASES] + REUSE_SEQUENCE)
+def test_argparse_answers_as_the_reader_does(argv, monkeypatch):
+    read = _streams(argv)
+    monkeypatch.setattr(cli, "_read", lambda argv: None)
+    assert _streams(argv) == read
+
+
+# the argv forms the benchmark's cli_mix and cli_cold workloads send
+CANONICAL = [
+    ["phase-classes", "12"],
+    ["phase-classes", "11", "--oracle"],
+    ["phase-classes", "7", "--format", "table"],
+    ["cusps", "4"],
+    ["reduce", "12", "--slope=-5/7"],
+    ["classify", "60", "--slope=inf", "--format", "table"],
+    ["rigid", "1", "--slope=40/1"],
+    ["check-compat", data("iota3.json")],
+    ["check-compat", data("iota3.json"), "--box", "4", "--seed", "17", "--oracle"],
+    ["lift", "4", data("gamma0_4.json"), "--format", "table"],
+    ["hn", data("chain_plus_point.json"), "--oracle"],
+    ["charge", data("chain_plus_point.json")],
+    ["semistable", data("chain_plus_point.json"), "--oracle", "--format", "table"],
+]
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in GOLDEN_CASES] + CANONICAL)
+def test_the_reader_accepts_canonical_argv(argv):
+    assert vars(_read(argv)) == vars(_build_parser().parse_args(argv))
 
 
 def test_one_parser_serves_a_process_as_fresh_ones_would():
@@ -397,19 +428,44 @@ def test_k_matrix_determinant_work_is_capped(tmp_path):
     assert run(["check-compat", str(path)])[0] == 0
 
 
-def test_module_entry_point_runs_the_verb():
+def _entry_point(argv, **options):
     src = str(pathlib.Path(ngonstab.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = dict(os.environ, **options.pop("env", {}))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "ngonstab.cli", "cusps", "4"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "ngonstab.cli", *argv], env=env, timeout=60, **options
     )
+
+
+def test_module_entry_point_runs_the_verb():
+    done = _entry_point(["cusps", "4"], capture_output=True, text=True)
     assert done.returncode == 0
     assert done.stdout == (GOLDEN / "cusps_4.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["phase-classes", "6"], ["classify", "316", "--slope=1/316"]],
+    ids=["buffered", "larger-than-the-pipe"],
+)
+def test_a_closed_stdout_exits_one_without_a_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _entry_point(argv, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
+def test_a_table_escapes_what_stdout_cannot_encode():
+    argv = ["classify", "6", "--slope=1/2", "--format", "table"]
+    text = run(argv)[1]
+    assert not text.isascii()
+    for encoding in ("utf-8", "ascii"):
+        done = _entry_point(argv, capture_output=True, env={"PYTHONIOENCODING": encoding})
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == text.encode(encoding, "backslashreplace")
 
 
 def test_box_radius_is_capped(capsys):
@@ -637,7 +693,8 @@ json_trees = st.recursive(
 tokens = st.sampled_from(
     VERBS + ["--oracle", "--box", "--seed", "--slope", "--format", "json", "table",
              "--slope=1/2", "1", "4", "6", "12", "0", "-3", "201", "10001", "7/10",
-             "inf", "x/y", "FILE"]
+             "inf", "x/y", "FILE", "--box=4", "--format=table", "--seed=3",
+             "--oracle=1", "--slope=-1/2", "--", "-"]
 ) | st.text(max_size=4).filter(lambda t: not t.startswith("-h"))
 
 
@@ -711,5 +768,46 @@ def test_cli_never_escapes_its_exit_codes(data, tmp_path_factory):
         argv = head + ([str(path)] if verb in VERBS[5:] else ["--slope=1/2"]) + argv
     code, text = run(argv)
     assert code in (0, 1, 2)
-    if code == 0 and "table" not in argv:
+    if code == 0 and "table" not in argv and "--format=table" not in argv:
         json.loads(text)
+
+
+# whole flags with their values, so that many verb lines are well formed
+FLAG_FORMS = [["--oracle"], ["--box", "5"], ["--box=4"], ["--seed", "-3"], ["--seed=3"],
+              ["--format", "table"], ["--format=json"], ["--slope", "7/10"],
+              ["--slope=-1/2"], ["--slope", "-1/2"]]
+
+
+def _verb_lines(path: str):
+    """Fuzz argv: a verb, its positionals in order, and some of its flags,
+    each at most once, shuffled in with up to two random tokens."""
+
+    def line(verb):
+        names = ["--format", *(name for name, _ in _VERBS[verb][2])]
+        forms = [form for form in FLAG_FORMS if form[0].partition("=")[0] in names]
+        flags = st.lists(
+            st.sampled_from(forms), max_size=4, unique_by=lambda f: f[0].partition("=")[0]
+        )
+        noise = st.lists(tokens.map(lambda t: [t]), max_size=2)
+        positionals = [["4" if name == "n" else path] for name in names if name[0] != "-"]
+        # None marks where the next positional goes
+        units = st.tuples(flags, noise).flatmap(
+            lambda parts: st.permutations(parts[0] + parts[1] + [None] * len(positionals))
+        )
+
+        def fill(units):
+            rest = iter(positionals)
+            return [verb] + [t for unit in units for t in (unit or next(rest))]
+
+        return units.map(fill)
+
+    argvs = st.sampled_from(VERBS).flatmap(line)
+    return argvs.map(lambda argv: [path if t == "FILE" else t for t in argv])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=_verb_lines(data("chain_plus_point.json")))
+def test_the_reader_agrees_with_argparse_when_it_accepts(argv):
+    args = _read(argv)
+    if args is not None:
+        assert vars(args) == vars(_build_parser().parse_args(argv))

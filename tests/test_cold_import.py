@@ -3,8 +3,10 @@
 A command-line request pays for every module the import pulls in, so the
 package builds its value classes itself (`charges.value_class`) rather
 than through `dataclasses`, which alone brings in `inspect`, `ast`, `dis`
-and `tokenize`.  The import still loads every library module: the
-benchmark reads them all from `sys.modules` right after it.
+and `tokenize`, and the CLI imports `argparse` (and with it `gettext`)
+only when its table-driven reader declines an argv.  The import still
+loads every library module: the benchmark reads them all from
+`sys.modules` right after it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ LOADED = {
     f"ngonstab.{name}"
     for name in ("charges", "gamma0", "compat", "sheaves", "hn", "moduli", "cli")
 }
-NOT_LOADED = {"dataclasses", "inspect", "typing"}
+NOT_LOADED = {"argparse", "dataclasses", "gettext", "inspect", "typing"}
 
 CHILD = """
 import sys
