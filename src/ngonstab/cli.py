@@ -22,6 +22,7 @@ argparse alone gives, and `argparse` is imported only on a decline.
 from __future__ import annotations
 
 import functools
+import io
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _escape
@@ -395,11 +396,17 @@ def run(argv) -> tuple[int, str]:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read(argv)
     if args is None:
+        # argparse writes help to stdout itself and hides a failed write,
+        # so help is captured here and main writes it; a usage error
+        # still goes straight to stderr
+        captured = io.StringIO()
+        stdout, sys.stdout = sys.stdout, captured
         try:
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:
-            # argparse already wrote its own message
-            return (int(exc.code) if exc.code else 0), ""
+            return (int(exc.code), "") if exc.code else (0, captured.getvalue())
+        finally:
+            sys.stdout = stdout
     try:
         payload = args.func(args)
     except schemas.SchemaError as exc:

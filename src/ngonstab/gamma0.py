@@ -51,7 +51,7 @@ class Mat2:
         return cls(1, 0, 0, 1)
 
     @classmethod
-    def translation(cls, m: int = 1) -> "Mat2":
+    def translation(cls, m: int) -> "Mat2":
         """T^m = [[1, m], [0, 1]]."""
         return cls(1, m, 0, 1)
 
@@ -141,8 +141,9 @@ def class_count(N: int) -> int:
 class CuspClass:
     """Canonical cusp datum: divisor c of N plus a residue representative a.
 
-    a is the smallest nonnegative integer in its residue class modulo
-    g = gcd(c, N/c) that is coprime to c, so (N, c, a) is a plain value
+    Any integer a whose residue modulo g = gcd(c, N/c) is a unit names a
+    class; the constructor stores the smallest nonnegative integer in that
+    residue class that is coprime to c, so (N, c, a) is a plain value
     equality test and a/c is a concrete representative slope.
     """
 
@@ -153,8 +154,10 @@ class CuspClass:
     def __post_init__(self) -> None:
         if self.N < 1 or self.c < 1 or self.N % self.c != 0:
             raise ValueError("c must be a positive divisor of N")
-        if self.a < 0 or gcd(self.a, self.c) != 1:
-            raise ValueError("a must be nonnegative and coprime to c")
+        g = gcd(self.c, self.N // self.c)
+        if gcd(self.a, g) != 1:
+            raise ValueError("a must be a unit modulo gcd(c, N/c)")
+        object.__setattr__(self, "a", _coprime_representative(self.a, g, self.c))
 
     @property
     def slope(self) -> Slope:
@@ -164,16 +167,15 @@ class CuspClass:
         return {"N": self.N, "c": self.c, "a": self.a, "slope": str(self.slope)}
 
 
-def _coprime_representative(residue: int, g: int, c: int) -> int:
-    """Smallest nonnegative a = residue (mod g) with gcd(a, c) = 1.
+def _coprime_representative(a: int, g: int, c: int) -> int:
+    """Smallest nonnegative t = a (mod g) with gcd(t, c) = 1.
 
-    residue is always coprime to g here, so the arithmetic progression
-    residue + g*Z meets the units mod c (Chinese remainder on the primes
-    of c not dividing g); the scan below terminates quickly in practice.
+    a is a unit mod g and g divides c, so the arithmetic progression
+    a + g*Z meets the units mod c (Chinese remainder on the primes of c
+    not dividing g), and the scan below ends before it passes their
+    product times g.
     """
-    if c == 1:
-        return 0
-    t = residue % g if g > 0 else residue
+    t = a % g
     while gcd(t, c) != 1:
         t += g
     return t
@@ -183,11 +185,8 @@ def cusp_class(N: int, s: Slope) -> CuspClass:
     """Canonical class of a slope under Gamma_0(N), without a witness."""
     if N < 1:
         raise ValueError("level must be a positive integer")
-    p, q = s.num, s.den
-    c = gcd(q, N)  # q = 0 (the infinite slope) gives c = N
-    g = gcd(c, N // c)
-    residue = (p * (q // c)) % g if g > 1 else 0
-    return CuspClass(N, c, _coprime_representative(residue, max(g, 1), c))
+    c = gcd(s.den, N)  # the infinite slope (den 0) gives c = N
+    return CuspClass(N, c, s.num * (s.den // c))
 
 
 def _complete(p: int, q: int) -> Mat2:
@@ -253,10 +252,7 @@ def enumerate_cusp_classes(N: int) -> tuple[CuspClass, ...]:
     out = []
     for c in _divisors(N):
         g = gcd(c, N // c)
-        for residue in range(g):
-            if gcd(residue, g) != 1 and g > 1:
-                continue
-            out.append(CuspClass(N, c, _coprime_representative(residue, g, c)))
+        out += [CuspClass(N, c, a) for a in range(g) if gcd(a, g) == 1]
     out.sort(key=lambda k: (k.c, k.a))
     return tuple(out)
 

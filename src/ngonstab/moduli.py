@@ -7,10 +7,10 @@ with s dividing n.  At that representative the stable locus has a
 positive-dimensional part, a copy of the s-cycle curve swept out by
 pulled-back line bundles, together with n isolated points: chains of
 length s carrying one fixed balanced degree vector, translated around
-the curve.  A description stores the phase, its level, its class and
-the witness; the stable charges are read off the phase direction and
-the rigid chains are built, and their stability checked rather than
-believed, from the representative.
+the curve.  A description stores only the phase and its level; building
+it derives the class and the witness, the stable charges are read off
+the phase direction, and the rigid chains are built, and their
+stability checked rather than believed, from the representative.
 
 The balanced degree vector is unique: writing P_t for its prefix sums,
 stability of a length-s chain of total degree r - 1 against prefix and
@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import gcd
 
 from .charges import ChargeVec, PhasePoint, Slope, in_h_prime, value_class
-from .gamma0 import CuspClass, Mat2, cusp_canonicalize
+from .gamma0 import cusp_canonicalize
 from .sheaves import (
     STABLE,
     BandSheaf,
@@ -39,23 +39,12 @@ from .sheaves import (
 
 __all__ = [
     "ModuliDescription",
-    "phase_representative",
     "classify",
     "enumerate_rigid",
     "stable_vb_construct",
 ]
 
 _SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
-
-
-def phase_representative(n: int, a: PhasePoint) -> tuple[CuspClass, Mat2]:
-    """Canonical class of the slope attached to a phase, plus a witness.
-
-    The direction (re, im) carries the slope -re/im.  Phases a and a + 1
-    have opposite directions and so the same slope.
-    """
-    re, im = a.dir
-    return cusp_canonicalize(n, Slope(-re, im))
 
 
 # Levels up to 60 carry 294 cusp classes, so 512 keys hold every rigid
@@ -107,20 +96,27 @@ def stable_vb_construct(
 class ModuliDescription:
     """Everything the classification pins down for one phase.
 
-    The phase's class at level n is the representative r/s, and the
-    witness moves the phase's slope there; every other value is read off
-    these fields.
+    The fields are the level n and the phase.  The constructor derives
+    `representative`, the phase's class r/s at level n, and `witness`,
+    which moves the phase's slope there; every other value is read off
+    these.
     """
 
     n: int
     phase: PhasePoint
-    representative: CuspClass
-    witness: Mat2
 
     galois_note = (
         "Z/nZ acts transitively on rigid points; "
         "factors through Gal(E_s → E_1) on E_s"
     )
+
+    def __post_init__(self) -> None:
+        # the direction (re, im) carries the slope -re/im, so phases a and
+        # a + 1, of opposite directions, share it
+        re, im = self.phase.dir
+        representative, witness = cusp_canonicalize(self.n, Slope(-re, im))
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def s(self) -> int:
@@ -191,5 +187,4 @@ def classify(n: int, a: PhasePoint) -> ModuliDescription:
     boundary point of its compactification rather than a separate
     component, which is why torsion_class is always true there.
     """
-    cls, witness = phase_representative(n, a)
-    return ModuliDescription(n=n, phase=a, representative=cls, witness=witness)
+    return ModuliDescription(n, a)

@@ -445,8 +445,13 @@ def test_module_entry_point_runs_the_verb():
 
 @pytest.mark.parametrize(
     "argv",
-    [["phase-classes", "6"], ["classify", "316", "--slope=1/316"]],
-    ids=["buffered", "larger-than-the-pipe"],
+    [
+        ["phase-classes", "6"],
+        ["classify", "316", "--slope=1/316"],
+        ["--help"],
+        ["classify", "--help"],
+    ],
+    ids=["buffered", "larger-than-the-pipe", "help", "verb-help"],
 )
 def test_a_closed_stdout_exits_one_without_a_traceback(argv):
     read_end, write_end = os.pipe()

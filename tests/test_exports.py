@@ -149,9 +149,48 @@ def _calls(call: ast.Call, module: str, public: str, aliases: dict[str, str]) ->
     return short in (aliases.get(owner, owner), getattr(func.value, "attr", None))
 
 
+def _signatures():
+    """(label, parameters, call matcher) for each public function, and for
+    the constructor and each public method, classmethod and staticmethod
+    of each public class.  A method call is matched by its attribute name
+    alone: which class a receiver holds is not known without running the
+    code, and a same-named method of another object can only hide a
+    finding, never make one."""
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for public in module.__all__:
+            obj = inspect.unwrap(getattr(module, public))
+
+            def by_name(call, aliases, name=name, public=public):
+                return _calls(call, name, public, aliases)
+
+            if inspect.isfunction(obj):
+                yield public, list(inspect.signature(obj).parameters.values()), by_name
+            if not inspect.isclass(obj):
+                continue
+            for attr, value in vars(obj).items():
+                if attr == "__init__":
+                    label, matches = public, by_name
+                elif attr.startswith("_"):
+                    continue
+                else:
+                    label = f"{public}.{attr}"
+
+                    def matches(call, aliases, attr=attr):
+                        return isinstance(call.func, ast.Attribute) and call.func.attr == attr
+
+                func = getattr(value, "__func__", value)
+                if not inspect.isfunction(func):
+                    continue  # a property or a class constant
+                params = list(inspect.signature(func).parameters.values())
+                if not isinstance(value, staticmethod):
+                    params = params[1:]  # self or cls
+                yield label, params, matches
+
+
 def _default_uses() -> dict[str, list[bool]]:
-    """For each defaulted parameter of a public function, whether each call
-    in the library, the benchmark or the tests passes it."""
+    """For each defaulted parameter in `_signatures`, whether each call in
+    the library, the benchmark or the tests passes it."""
     files = [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py")]
     files += (ROOT / "tests").glob("*.py")
     calls = []
@@ -160,34 +199,25 @@ def _default_uses() -> dict[str, list[bool]]:
         aliases = _module_aliases(tree)
         calls += [(node, aliases) for node in ast.walk(tree) if isinstance(node, ast.Call)]
     uses = {}
-    for name in MODULES:
-        module = importlib.import_module(name)
-        for public in module.__all__:
-            func = inspect.unwrap(getattr(module, public))
-            if not inspect.isfunction(func):
-                continue
-            params = list(inspect.signature(func).parameters.values())
-            names = [p.name for p in params]
-            passed = [
-                _passed(call, names)
-                for call, aliases in calls
-                if _calls(call, name, public, aliases)
-            ]
-            for p in params:
-                if p.default is not p.empty:
-                    uses[f"{public}({p.name})"] = [p.name in given for given in passed]
+    for label, params, matches in _signatures():
+        names = [p.name for p in params]
+        passed = [_passed(call, names) for call, aliases in calls if matches(call, aliases)]
+        for p in params:
+            if p.default is not p.empty:
+                uses[f"{label}({p.name})"] = [p.name in given for given in passed]
     return uses
 
 
 def test_every_default_is_overridden_somewhere():
-    """A defaulted parameter of a public function must be passed by some
-    call; a setting no caller sets is a constant."""
+    """A defaulted parameter of a public function, constructor or method
+    must be passed by some call; a setting no caller sets is a constant."""
     assert sorted(p for p, passes in _default_uses().items() if not any(passes)) == []
 
 
 def test_every_default_is_relied_on_somewhere():
-    """A defaulted parameter of a public function must be left out by some
-    call; a default every caller overrides is a required parameter."""
+    """A defaulted parameter of a public function, constructor or method
+    must be left out by some call; a default every caller overrides is a
+    required parameter."""
     assert sorted(p for p, passes in _default_uses().items() if all(passes)) == []
 
 

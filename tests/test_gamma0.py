@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import random
 from bisect import bisect_left, bisect_right
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ngonstab import gamma0
 from ngonstab.charges import Slope
@@ -103,8 +105,40 @@ def test_cusp_class_pins():
 def test_cusp_class_validation():
     with pytest.raises(ValueError):
         CuspClass(4, 3, 1)  # c does not divide N
-    with pytest.raises(ValueError):
-        CuspClass(4, 2, 2)  # a not coprime to c
+    with pytest.raises(ValueError, match="^a must be a unit modulo gcd"):
+        CuspClass(4, 2, 2)  # a = 0 mod gcd(2, 2)
+
+
+def test_cusp_class_stores_the_canonical_residue():
+    assert CuspClass(9, 3, 4) == CuspClass(9, 3, 1) == cusp_class(9, Slope(4, 3))
+    assert CuspClass(4, 1, 5) == CuspClass(4, 1, 0)
+
+
+def _canonical_residue(N, c, a):
+    """The least t >= 0 with t = a mod gcd(c, N/c) and gcd(t, c) = 1,
+    by counting up from 0."""
+    g = gcd(c, N // c)
+    return next(t for t in itertools.count() if (t - a) % g == 0 and gcd(t, c) == 1)
+
+
+@st.composite
+def _residues(draw):
+    N = draw(st.integers(1, 60))
+    c = draw(st.sampled_from([d for d in range(1, N + 1) if N % d == 0]))
+    g = gcd(c, N // c)
+    a = draw(st.integers(-(10**30), 10**30) | st.integers(-3 * g, 3 * g))
+    return N, c, g, a
+
+
+@given(_residues())
+def test_a_unit_residue_builds_its_canonical_class_and_no_other_does(case):
+    N, c, g, a = case
+    if gcd(a, g) != 1:
+        with pytest.raises(ValueError, match="^a must be a unit modulo gcd"):
+            CuspClass(N, c, a)
+        return
+    assert CuspClass(N, c, a).a == _canonical_residue(N, c, a)
+    assert CuspClass(N, c, a) == CuspClass(N, c, a + g)
 
 
 LEVEL_ZERO = [

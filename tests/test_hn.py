@@ -14,6 +14,7 @@ from ngonstab.hn import (
     hn_of_object,
     hn_polygon,
 )
+from ngonstab.schemas import MAX_ORACLE_SUMMANDS
 from ngonstab.sheaves import (
     BandSheaf,
     ChainSheaf,
@@ -198,8 +199,12 @@ def test_polygon_validation():
 
 
 def test_brute_force_polygon_guard():
+    # `hn --oracle` caps the summands at MAX_ORACLE_SUMMANDS, so a request
+    # the cap lets through must never meet the oracle's own limit
+    charges = [(0, 1)] * MAX_ORACLE_SUMMANDS
+    assert brute_force_polygon(charges) == hn_polygon(charges)
     with pytest.raises(ValueError):
-        brute_force_polygon([(0, 1)] * 17)
+        brute_force_polygon(charges + [(0, 1)])
 
 
 def test_polygon_matches_brute_force_random():

@@ -13,11 +13,16 @@ from ngonstab.charges import (
     in_h_prime,
     slope_to_phase,
 )
-from ngonstab.gamma0 import CuspClass, cusp_class, cusp_equivalent, in_gamma0
+from ngonstab.gamma0 import (
+    CuspClass,
+    cusp_canonicalize,
+    cusp_equivalent,
+    in_gamma0,
+)
 from ngonstab.moduli import (
+    ModuliDescription,
     classify,
     enumerate_rigid,
-    phase_representative,
     stable_vb_construct,
 )
 from ngonstab.sheaves import (
@@ -34,20 +39,30 @@ from ngonstab.sheaves import (
 A = Label.generator("a")
 
 
-def test_phase_representative_folds_into_window():
-    cls, witness = phase_representative(6, PhasePoint(0, (-1, 2)))
-    assert cls == CuspClass(6, 2, 1)
-    assert witness.moebius(Slope(1, 2)) == Slope(1, 2)
+def test_classify_folds_a_phase_into_window():
+    desc = classify(6, PhasePoint(0, (-1, 2)))
+    assert desc.representative == CuspClass(6, 2, 1)
+    assert desc.witness.moebius(Slope(1, 2)) == Slope(1, 2)
     # a phase one unit down carries the same slope
-    folded_cls, folded_witness = phase_representative(6, PhasePoint(0, (1, -2)))
-    assert folded_cls == cls
-    assert in_gamma0(folded_witness, 6)
-    # a phase and its half-turn both carry the slope it came from
+    folded = classify(6, PhasePoint(0, (1, -2)))
+    assert folded.representative == desc.representative
+    assert in_gamma0(folded.witness, 6)
+    # a phase and its half-turn both carry the slope it came from, and the
+    # constructor derives what cusp_canonicalize gives for that slope
     for n in (1, 6, 12):
         for s in (Slope(0, 1), Slope(1, 1), Slope(-3, 2), Slope(5, 7), Slope.infinity()):
             p = slope_to_phase(s)
             for q in (p, add_half_turns(p, 1)):
-                assert phase_representative(n, q)[0] == cusp_class(n, s)
+                desc = ModuliDescription(n, q)
+                assert desc == classify(n, q)
+                assert (desc.representative, desc.witness) == cusp_canonicalize(n, s)
+
+
+def test_a_description_is_built_from_its_fields_alone():
+    desc = classify(6, slope_to_phase(Slope(1, 2)))
+    for derived in ("representative", "witness"):
+        with pytest.raises(TypeError):
+            ModuliDescription(6, desc.phase, **{derived: getattr(desc, derived)})
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,7 @@ CHAIN = ChainSheaf(2, 2, 0, (0, 1))
 PHASE = PhasePoint(0, (0, 1))
 SLICE = HNSlice((0, 1), (0,))
 DESCRIPTION = classify(3, slope_to_phase(Slope(1, 2)))
-MODULI_FIELDS = {
-    "n": 3,
-    "phase": DESCRIPTION.phase,
-    "representative": DESCRIPTION.representative,
-    "witness": DESCRIPTION.witness,
-}
+MODULI_FIELDS = {"n": 3, "phase": DESCRIPTION.phase}
 
 # Each class with its fields, in declaration order, as stored canonical.
 TABLE = [
