@@ -2,7 +2,8 @@
 
 The Grothendieck group of a cycle E_n of n projective lines is Z^{n+1},
 with basis the point class e0 and the n component classes e_i given by
-O(-1) on each line.  The classical central charge sends a class with
+O(-1) on each line, so a `KClass` is (chi, ranks) and reads n off its
+one rank per component.  The classical central charge sends a class with
 Euler characteristic chi and total rank r to the Gaussian integer
 -chi + i*r, so its image is the full rank-2 lattice no matter what n is.
 
@@ -56,7 +57,7 @@ def _int_tuple(value: object, what: str) -> tuple[int, ...]:
     return out
 
 
-_INT_TUPLE_TYPES = ("tuple[int, ...]", "ChargeVec", tuple[int, ...], ChargeVec)
+_INT_TUPLE_TYPES = ("tuple[int, ...]", "ChargeVec")
 
 
 def value_class(cls: type) -> type:
@@ -64,16 +65,18 @@ def value_class(cls: type) -> type:
 
     Every annotation is a field, in order, so a class constant goes
     unannotated; a class attribute of the same name is the field's
-    default.  One `exec` builds `__init__` (refuses any value `is_int`
-    rejects for a field annotated ``int``, stores a field annotated
-    ``tuple[int, ...]`` or ``ChargeVec`` as a tuple after `_int_tuple`'s
-    checks, refuses a ``ChargeVec`` of other than two entries, assigns
-    every field, then calls `__post_init__` if the class has one),
-    `__eq__` (same class and equal field tuples) and
-    `__hash__` (the hash of the field tuple): the code `dataclass`
-    generates for ``frozen=True``, so equal values compare and hash as
-    they did under it.  `__repr__` and the frozen `__setattr__` and
-    `__delattr__` are shared by every value class.
+    default.  An annotation is the string ``from __future__ import
+    annotations`` leaves; any other raises TypeError, so a module without
+    that import cannot skip the integer checks.  One `exec` builds
+    `__init__` (refuses any value `is_int` rejects for a field annotated
+    ``int``, stores a field annotated ``tuple[int, ...]`` or
+    ``ChargeVec`` as a tuple after `_int_tuple`'s checks, refuses a
+    ``ChargeVec`` of other than two entries, assigns every field, then
+    calls `__post_init__` if the class has one), `__eq__` (same class and
+    equal field tuples) and `__hash__` (the hash of the field tuple): the
+    code `dataclass` generates for ``frozen=True``, so equal values
+    compare and hash as they did under it.  `__repr__` and the frozen
+    `__setattr__` and `__delattr__` are shared by every value class.
     """
     annotations = cls.__dict__.get("__annotations__", {})
     names = tuple(annotations)
@@ -86,12 +89,14 @@ def value_class(cls: type) -> type:
     params = []
     body = ""
     for name in names:
+        if not isinstance(annotations[name], str):
+            raise TypeError(f"{cls.__qualname__}.{name}: annotation is not a string")
         if name in cls.__dict__:
             ns[f"_dflt_{name}"] = cls.__dict__[name]
             params.append(f"{name}=_dflt_{name}")
         else:
             params.append(name)
-        if annotations[name] in ("int", int):
+        if annotations[name] == "int":
             # the exact-type test first keeps the common case to one compare
             body += (
                 f"\n    if type({name}) is not int and not _is_int({name}):"
@@ -108,7 +113,7 @@ def value_class(cls: type) -> type:
                 f"\n    else:"
                 f"\n        {name} = _int_tuple({name}, {name!r})"
             )
-            if annotations[name] in ("ChargeVec", ChargeVec):
+            if annotations[name] == "ChargeVec":
                 body += (
                     f"\n    if len({name}) != 2:"
                     f"\n        raise ValueError({name + ' must have two entries'!r})"
@@ -169,17 +174,18 @@ def primitive(c: ChargeVec) -> ChargeVec:
 
 @value_class
 class KClass:
-    """A K-group element chi*e0 + sum(ranks[i]*e_i) on the n-gon."""
+    """A K-group element chi*e0 + sum(ranks[i]*e_i) on the n-gon, n = len(ranks)."""
 
-    n: int
     chi: int
     ranks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if len(self.ranks) != self.n:
-            raise ValueError("ranks must have length n")
+        if not self.ranks:
+            raise ValueError("ranks must not be empty")
+
+    @property
+    def n(self) -> int:
+        return len(self.ranks)
 
     @property
     def rk_tot(self) -> int:

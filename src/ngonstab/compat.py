@@ -3,7 +3,8 @@
 An automorphism of the rank-(n+1) K-lattice is given by an integer
 matrix in the basis (e_0, e_1, ..., e_n) where e_0 is the point class
 and e_i the degree-(0,...,-1,...,0) line bundle class; columns are
-images.  The central charge sends e_0 to -1 and each e_i to i (rank
+images, so the matrix size n + 1 fixes n and a `KAuto` stores no n of
+its own.  The central charge sends e_0 to -1 and each e_i to i (rank
 1, Euler characteristic 0), so its kernel is the rank-(n-1) lattice
 {chi = 0, sum of ranks = 0} with basis b_i = e_i - e_{i+1}.
 
@@ -68,9 +69,11 @@ __all__ = [
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-def _as_int_matrix(rows: object, size: int) -> IntMatrix:
-    if not isinstance(rows, (list, tuple)) or len(rows) != size:
-        raise ValueError(f"expected a {size}x{size} integer matrix")
+def _as_int_matrix(rows: object) -> IntMatrix:
+    """The rows as a tuple of tuples: square, at least 2x2, of integers."""
+    size = len(rows) if isinstance(rows, (list, tuple)) else 0
+    if size < 2:
+        raise ValueError("expected a square integer matrix of at least 2 rows")
     out = []
     for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) != size:
@@ -155,27 +158,27 @@ class KAuto:
     """Unimodular automorphism of the rank-(n+1) K-lattice.
 
     matrix[i][j] is the coefficient of e_i in the image of e_j (columns
-    are images).  amplitude_certificate is the caller's assertion that
-    the underlying functor has cohomological amplitude at most that
-    integer; None means unknown, which blocks a Compatible verdict.
+    are images), and n is len(matrix) - 1.  amplitude_certificate is the
+    caller's assertion that the underlying functor has cohomological
+    amplitude at most that integer; None means unknown, which blocks a
+    Compatible verdict.
     """
 
-    n: int
     matrix: IntMatrix
     amplitude_certificate: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        object.__setattr__(
-            self, "matrix", _as_int_matrix(self.matrix, self.n + 1)
-        )
+        object.__setattr__(self, "matrix", _as_int_matrix(self.matrix))
         if abs(_mat_det(self.matrix)) != 1:
             raise ValueError("K-lattice automorphism must be unimodular")
         if self.amplitude_certificate is not None and not is_int(
             self.amplitude_certificate
         ):
             raise ValueError("amplitude certificate must be an integer or None")
+
+    @property
+    def n(self) -> int:
+        return len(self.matrix) - 1
 
     def to_json(self) -> dict:
         return {
@@ -326,7 +329,7 @@ def lift_k_matrix(n: int, M: Mat2) -> KAuto:
                          "divisible by n lift at level n")
     top = (M.a,) + (M.b,) * n
     second = (M.c, M.d) + (M.d - 1,) * (n - 1)
-    A = KAuto(n, (top, second) + _mat_identity(n + 1)[2:], amplitude_certificate=1)
+    A = KAuto((top, second) + _mat_identity(n + 1)[2:], amplitude_certificate=1)
     assert check_kernel(A)
     assert _descend_matrix(A) == M
     return A
@@ -341,16 +344,16 @@ def compose(A: KAuto, B: KAuto) -> KAuto:
     cert = None
     if A.amplitude_certificate is not None and B.amplitude_certificate is not None:
         cert = A.amplitude_certificate + B.amplitude_certificate
-    return KAuto(A.n, _mat_mul(A.matrix, B.matrix), cert)
+    return KAuto(_mat_mul(A.matrix, B.matrix), cert)
 
 
 def invert(A: KAuto) -> KAuto:
     """Inverse automorphism; the amplitude bound carries over unchanged."""
-    return KAuto(A.n, _mat_inverse(A.matrix), A.amplitude_certificate)
+    return KAuto(_mat_inverse(A.matrix), A.amplitude_certificate)
 
 
 def identity_kauto(n: int) -> KAuto:
-    return KAuto(n, _mat_identity(n + 1), amplitude_certificate=0)
+    return KAuto(_mat_identity(n + 1), amplitude_certificate=0)
 
 
 def iota_kauto(n: int) -> KAuto:
@@ -362,12 +365,12 @@ def iota_kauto(n: int) -> KAuto:
     rows[0][0] = 1
     for j in range(1, n + 1):
         rows[j % n + 1][j] = 1
-    return KAuto(n, tuple(tuple(r) for r in rows), amplitude_certificate=0)
+    return KAuto(tuple(tuple(r) for r in rows), amplitude_certificate=0)
 
 
 def shift_square_kauto(n: int) -> KAuto:
     """The double shift: identity on the K-lattice, amplitude 2."""
-    return KAuto(n, _mat_identity(n + 1), amplitude_certificate=2)
+    return KAuto(_mat_identity(n + 1), amplitude_certificate=2)
 
 
 # ---------------------------------------------------------------------------

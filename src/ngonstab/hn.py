@@ -187,6 +187,9 @@ def _cross(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+MAX_SUBSET_CHARGES = 16
+
+
 def brute_force_polygon(charges: list[ChargeVec]) -> HNPolygon:
     """Hull by enumerating all subset sums; exponential, for small lists.
 
@@ -196,8 +199,8 @@ def brute_force_polygon(charges: list[ChargeVec]) -> HNPolygon:
     the x = 0 column (torsion-only subsets) rises above the origin.
     """
     cleaned = [_charge(c) for c in charges]
-    if len(cleaned) > 16:
-        raise ValueError("subset enumeration limited to 16 charges")
+    if len(cleaned) > MAX_SUBSET_CHARGES:
+        raise ValueError(f"subset enumeration limited to {MAX_SUBSET_CHARGES} charges")
     sums = {(0, 0)}
     for re, im in cleaned:
         sums |= {(x + im, y - re) for x, y in sums}

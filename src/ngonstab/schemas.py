@@ -12,10 +12,10 @@ well-formed input asking for something impossible (the library raised
 ValueError, say for an unstable summand to filter or a matrix outside
 the level); 2 for malformed input: bad arguments, an unreadable file,
 bad JSON (malformed, not UTF-8 or nested too deeply), a value of the
-wrong shape or type (JSON true and false are never integers), or a size,
-an integer or the work of a check above a cap, whose message names the
-cap.  One domain condition also exits 2: a K-matrix that is not
-unimodular, since such a file describes no K-lattice automorphism at all.
+wrong shape or type (JSON true and false are never integers), values a
+constructor refuses (a length that does not match, a size below 1, no
+summands, a K-matrix that is not unimodular), or a size, an integer or
+the work of a check above a cap, whose message names the cap.
 SchemaError does not subclass ValueError, so the two stay disjoint.
 """
 
@@ -26,6 +26,7 @@ import json
 from .charges import Slope, is_int
 from .compat import KAuto
 from .gamma0 import Mat2
+from .hn import MAX_SUBSET_CHARGES
 from .sheaves import (
     BandSheaf,
     ChainSheaf,
@@ -84,9 +85,8 @@ MAX_ORACLE_LEVEL = 150
 MAX_ORACLE_CHAIN = 100
 MAX_ORACLE_BAND = 6
 MAX_ORACLE_VERDICTS = 100
-# hn --oracle builds every subset sum of the summand charges, the most
-# that hn.brute_force_polygon accepts.
-MAX_ORACLE_SUMMANDS = 16
+# hn --oracle builds every subset sum of the summand charges.
+MAX_ORACLE_SUMMANDS = MAX_SUBSET_CHARGES
 # The digits of any integer read from a file, a slope or a label.  A
 # verb prints sums and products of at most two such integers and sizes
 # under the caps above (chi = -m * sum(multideg) over the summands; a
@@ -210,24 +210,25 @@ def kauto_from_json(obj: object) -> KAuto:
     n = _size(obj, "n", MAX_K_N, "K-matrix")
     matrix = _field(obj, "matrix", "K-matrix")
     amplitude = obj.get("amplitude_M")
-    # digits and determinant work first, since the constructor's
-    # determinant grows with both; the constructor refuses a matrix of
-    # the wrong shape or type itself
-    rows = [
-        [x for x in row if is_int(x)]
-        for row in (matrix if isinstance(matrix, list) else [])
-        if isinstance(row, list)
-    ]
-    _check_digits([x for row in rows for x in row])
+    # the row count against n before any row is read, then the rows, and
+    # digits and determinant work, since the constructor's determinant
+    # grows with both
+    size = n + 1
+    if not isinstance(matrix, list) or len(matrix) != size or not all(
+        isinstance(row, list) and len(row) == size for row in matrix
+    ):
+        raise SchemaError(f"expected a {size}x{size} integer matrix")
+    if not all(is_int(x) for row in matrix for x in row):
+        raise SchemaError("matrix entries must be integers")
+    _check_digits([x for row in matrix for x in row])
     _check_digits([amplitude] if is_int(amplitude) else [])
     # ceil(log2 ||row||) per row: half of ceil(log2 of the sum of squares)
-    bits = sum(((sum(x * x for x in row) - 1).bit_length() + 1) // 2 for row in rows)
+    bits = sum(((sum(x * x for x in row) - 1).bit_length() + 1) // 2 for row in matrix)
     check_cap(n * n * bits, MAX_DET_WORK, "K-matrix determinant work n^2 * bits")
     try:
-        return KAuto(n, matrix, amplitude)
+        return KAuto(matrix, amplitude)
     except ValueError as exc:
-        # the constructor checks the shape, the entries, the certificate
-        # and unimodularity; any of them failing makes the file malformed
+        # the certificate or unimodularity failed: the file is malformed
         raise SchemaError(str(exc)) from None
 
 
@@ -238,12 +239,15 @@ def object_from_json(obj: object) -> SheafObject:
     raw = _field(obj, "summands", "sheaf object")
     if not isinstance(raw, list):
         raise SchemaError("summands must be a list")
-    return SheafObject(tuple(_summand(n, x) for x in raw))
+    try:
+        return SheafObject(tuple(_summand(n, x) for x in raw))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def _summand(n: int, obj: object):
-    # Every shape check runs before the constructor, whose ValueError (a
-    # length that does not match, a size below 1) is a domain error.
+    # Every type check and cap runs here; the constructors refuse the
+    # values that contradict each other.
     obj = _object(obj, "summand")
     kind = _field(obj, "type", "summand")
     if kind == "band":

@@ -387,7 +387,7 @@ def k_class(s: Summand | SheafObject) -> KClass:
         elif isinstance(part, ChainSheaf):
             for t in range(part.k):
                 ranks[(part.start + t) % n] += 1
-    return KClass(n, chi, tuple(x + everywhere for x in ranks))
+    return KClass(chi, tuple(x + everywhere for x in ranks))
 
 
 def object_charge(s: Summand | SheafObject) -> ChargeVec:

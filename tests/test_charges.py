@@ -59,19 +59,18 @@ def test_primitive():
 
 
 def test_kclass_charge_and_kernel():
-    k = KClass(3, 2, (1, 0, -1))
+    k = KClass(2, (1, 0, -1))
     assert charge(k) == (-2, 0)
     assert k.rk_tot == 0
-    assert charge(KClass(3, 0, (1, -2, 1))) == (0, 0)
-    assert charge(KClass(3, 0, (1, 0, 0))) == (0, 1)
+    assert charge(KClass(0, (1, -2, 1))) == (0, 0)
+    assert charge(KClass(0, (1, 0, 0))) == (0, 1)
 
 
 def test_kclass_validation_and_json():
-    with pytest.raises(ValueError):
-        KClass(0, 1, ())
-    with pytest.raises(ValueError):
-        KClass(2, 1, (1,))
-    k = KClass(4, -3, (1, 1, 0, 2))
+    with pytest.raises(ValueError, match="^ranks must not be empty$"):
+        KClass(1, ())
+    k = KClass(-3, (1, 1, 0, 2))
+    assert k.n == 4
     assert k.to_json() == {"n": 4, "chi": -3, "ranks": [1, 1, 0, 2]}
 
 

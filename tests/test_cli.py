@@ -344,6 +344,34 @@ def test_non_positive_n_is_malformed(tmp_path, capsys, verb, n):
     assert "n must be positive" in capsys.readouterr().err
 
 
+CHAIN = {"type": "chain", "k": 2, "start": 0, "multideg": [0, 0]}
+BAND = {"type": "band", "r": 1, "multideg": [0, 0], "lambda": "1"}
+
+
+@pytest.mark.parametrize(
+    "summands, message",
+    [
+        pytest.param([{**CHAIN, "k": 0, "multideg": []}], "chain length must be positive",
+                     id="chain-k"),
+        pytest.param([{**BAND, "r": 0, "multideg": []}], "n, r and m must be positive",
+                     id="band-r"),
+        pytest.param([{**BAND, "m": 0}], "n, r and m must be positive", id="band-m"),
+        pytest.param([{"type": "torsion", "position": NODE, "length": 0}],
+                     "length must be positive", id="torsion-length"),
+        pytest.param([{**CHAIN, "multideg": [0]}], "multideg must have length k",
+                     id="chain-multideg"),
+        pytest.param([{**BAND, "multideg": [0]}], "multideg must have length n*r",
+                     id="band-multideg"),
+        pytest.param([], "object needs at least one summand", id="no-summands"),
+    ],
+)
+def test_a_file_that_contradicts_itself_is_malformed(tmp_path, summands, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"n": 2, "summands": summands}))
+    for verb in ("charge", "semistable", "hn"):
+        assert run([verb, str(path)]) == (2, f"error: {message}\n")
+
+
 def test_curve_size_is_capped(tmp_path, capsys):
     path = tmp_path / "input.json"
     # the cap itself is cheap: its K-class lists MAX_N ranks

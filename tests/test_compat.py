@@ -58,15 +58,19 @@ def random_gamma0(rng: random.Random, n: int, words: int = 5) -> Mat2:
 
 def test_kauto_validation():
     with pytest.raises(ValueError):
-        KAuto(1, ((2, 0), (0, 1)))  # det 2
+        KAuto(((2, 0), (0, 1)))  # det 2
     with pytest.raises(ValueError):
-        KAuto(2, ((1, 0), (0, 1)))  # wrong size
-    with pytest.raises(ValueError):
-        KAuto(1, ((1, 0), (0, 1)), amplitude_certificate="2")
+        KAuto(((1, 0), (0, 1)), amplitude_certificate="2")
 
 
 REFUSALS = [
-    pytest.param(KAuto, (0, ((1,),)), "^n must be a positive integer$", id="kauto-level-0"),
+    pytest.param(
+        KAuto, (((1,),),), "^expected a square integer matrix of at least 2 rows$",
+        id="kauto-level-0",
+    ),
+    pytest.param(
+        KAuto, (((1, 0), (0,)),), "^expected a 2x2 integer matrix$", id="kauto-not-square"
+    ),
     pytest.param(iota_kauto, (0,), "^n must be a positive integer$", id="iota-level-0"),
     pytest.param(compute_m, (ROT, 0), "^n must be a positive integer$", id="m-level-0"),
     pytest.param(
@@ -105,6 +109,19 @@ def test_kauto_json_round_trip():
             kauto_from_json(bad)
 
 
+def test_kauto_from_json_checks_the_shape_against_n_first():
+    # 50,000 rows under n = 2 are refused on the row count alone, before
+    # any row is read for the digit and determinant-work caps
+    doc = {"n": 2, "matrix": [[1, 0, 0, 0, 0]] * 50_000, "amplitude_M": 0}
+    with pytest.raises(SchemaError, match=r"^expected a 3x3 integer matrix$"):
+        kauto_from_json(doc)
+    for matrix in ([[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 1]], None):
+        with pytest.raises(SchemaError, match=r"^expected a 3x3 integer matrix$"):
+            kauto_from_json({"n": 2, "matrix": matrix})
+    with pytest.raises(SchemaError, match="^matrix entries must be integers$"):
+        kauto_from_json({"n": 1, "matrix": [[1, 0], [0, True]]})
+
+
 def test_apply_kauto_rotates_components():
     # columns are images: e_0 fixed, e_1 -> e_2 -> e_3 -> e_1
     a = iota_kauto(3)
@@ -116,7 +133,7 @@ def test_check_kernel():
     assert check_kernel(iota_kauto(4))
     assert check_kernel(identity_kauto(5))
     # e_2 picks up an extra e_1: rank sums of kernel vectors drift
-    broken = KAuto(2, ((1, 0, 0), (0, 1, 1), (0, 0, 1)))
+    broken = KAuto(((1, 0, 0), (0, 1, 1), (0, 0, 1)))
     assert not check_kernel(broken)
 
 
@@ -186,9 +203,9 @@ def test_known_compatibles():
 
 
 def test_verdict_ladder():
-    broken = KAuto(2, ((1, 0, 0), (0, 1, 1), (0, 0, 1)))
+    broken = KAuto(((1, 0, 0), (0, 1, 1), (0, 0, 1)))
     assert check_compatibility(broken).verdict == "FailsKernel"
-    swap = KAuto(1, ((0, 1), (1, 0)))
+    swap = KAuto(((0, 1), (1, 0)))
     report = check_compatibility(swap)
     assert report.verdict == "FailsOrientation"
     flags = report.to_json()
@@ -196,7 +213,7 @@ def test_verdict_ladder():
     assert report.descended is None and not flags["order_preserved"]
     # a genuine lift with the certificate stripped off
     lifted = lift_k_matrix(2, Mat2(1, 1, 2, 3))
-    bare = KAuto(2, lifted.matrix, None)
+    bare = KAuto(lifted.matrix, None)
     assert check_compatibility(bare).verdict == "MissingAmplitude"
     assert check_compatibility(lifted).verdict == "Compatible-by-criterion"
 
@@ -207,7 +224,7 @@ def test_report_json():
     assert obj["verdict"] == "Compatible-by-criterion"
     assert obj["descended"] == [[1, 0], [0, 1]]
     assert obj["m_value"] == {"two_shift": 0, "dir": [-1, 0]}
-    none_report = check_compatibility(KAuto(1, ((0, 1), (1, 0)))).to_json()
+    none_report = check_compatibility(KAuto(((0, 1), (1, 0)))).to_json()
     assert none_report["m_value"] is None
 
 
@@ -250,7 +267,7 @@ def test_compose_and_invert():
     assert inv.amplitude_certificate == a.amplitude_certificate
     assert compose(shift_square_kauto(2), shift_square_kauto(2)).amplitude_certificate == 4
     # unknown certificates stay unknown through composition
-    bare = KAuto(4, a.matrix, None)
+    bare = KAuto(a.matrix, None)
     assert compose(bare, b).amplitude_certificate is None
     with pytest.raises(ValueError):
         compose(a, identity_kauto(3))
@@ -278,7 +295,7 @@ def test_integer_inverse_on_random_unimodular_kautos():
     rng = random.Random(5)
     for trial in range(300):
         n = 1 + trial % 12
-        a = KAuto(n, random_unimodular(rng, n + 1))
+        a = KAuto(random_unimodular(rng, n + 1))
         inv = invert(a).matrix
         assert _mat_mul(a.matrix, inv) == _mat_identity(n + 1)
         assert _mat_mul(inv, a.matrix) == _mat_identity(n + 1)

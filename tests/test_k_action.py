@@ -52,7 +52,7 @@ def act(A, x: KClass) -> KClass:
     """The matrix A (rows of ints) applied to the coordinates (chi, ranks) of x."""
     v = (x.chi, *x.ranks)
     image = [sum(a * b for a, b in zip(row, v)) for row in A]
-    return KClass(len(image) - 1, image[0], tuple(image[1:]))
+    return KClass(image[0], tuple(image[1:]))
 
 
 @given(st.integers(0, 2**32), st.integers(-3, 3))
@@ -101,7 +101,7 @@ def test_read_off_matrices_are_the_compat_constructors():
 @settings(max_examples=300)
 def test_a_twist_fails_the_kernel_exactly_when_its_degrees_differ(deg):
     n = len(deg)
-    A = KAuto(n, read_off(lambda x: tensor_line(x, tuple(deg), Label.identity()), n))
+    A = KAuto(read_off(lambda x: tensor_line(x, tuple(deg), Label.identity()), n))
     failed = check_compatibility(A).verdict == "FailsKernel"
     assert failed == (len(set(deg)) > 1)
 
@@ -117,7 +117,7 @@ def test_the_descent_kernel_holds_rotations_trivial_twists_and_double_shift(
         lambda x: tensor_line(x, (0,) * n, mu),
         double_shift,
     ):
-        report = check_compatibility(KAuto(n, read_off(functor, n)))
+        report = check_compatibility(KAuto(read_off(functor, n)))
         assert report.descended == Mat2.identity()
 
 

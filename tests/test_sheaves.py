@@ -209,16 +209,16 @@ def test_sheaf_object_refuses_a_non_summand_first():
 
 
 def test_k_class_pins():
-    assert k_class(BandSheaf(3, 1, (1, 1, 0), A)) == KClass(3, 2, (1, 1, 1))
-    assert k_class(BandSheaf(3, 1, (1, 1, 0), A, m=2)) == KClass(3, 4, (2, 2, 2))
-    assert k_class(ChainSheaf(4, 2, 3, (1, 0))) == KClass(4, 2, (1, 0, 0, 1))
+    assert k_class(BandSheaf(3, 1, (1, 1, 0), A)) == KClass(2, (1, 1, 1))
+    assert k_class(BandSheaf(3, 1, (1, 1, 0), A, m=2)) == KClass(4, (2, 2, 2))
+    assert k_class(ChainSheaf(4, 2, 3, (1, 0))) == KClass(2, (1, 0, 0, 1))
     # winding chain stacks rank
-    assert k_class(ChainSheaf(2, 5, 0, (0,) * 5)) == KClass(2, 1, (3, 2))
-    assert k_class(TorsionSheaf(2, NodePoint(1), 3)) == KClass(2, 3, (0, 0))
+    assert k_class(ChainSheaf(2, 5, 0, (0,) * 5)) == KClass(1, (3, 2))
+    assert k_class(TorsionSheaf(2, NodePoint(1), 3)) == KClass(3, (0, 0))
     both = SheafObject(
         (ChainSheaf(2, 1, 0, (0,)), TorsionSheaf(2, NodePoint(0), 1))
     )
-    assert k_class(both) == KClass(2, 2, (1, 0))
+    assert k_class(both) == KClass(2, (1, 0))
     assert object_charge(both) == (-2, 1)
 
 
@@ -590,7 +590,7 @@ def test_functors_act_summand_by_summand(seed):
     assert object_charge(obj) == tuple(map(sum, zip(*charges)))
     classes = [k_class(x) for x in parts]
     ranks = tuple(map(sum, zip(*(k.ranks for k in classes))))
-    assert k_class(obj) == KClass(n, sum(k.chi for k in classes), ranks)
+    assert k_class(obj) == KClass(sum(k.chi for k in classes), ranks)
 
 
 def test_verdict_rejects_objects():
@@ -655,11 +655,16 @@ def test_json_schema_errors():
         object_from_json({"n": "2", "summands": []})
 
 
-def test_json_domain_errors_stay_value_errors():
-    # well-formed JSON carrying impossible data fails in the constructor
-    for bad in (
-        {"type": "chain", "k": 2, "start": 0, "multideg": [0]},
-        {"type": "band", "r": 1, "multideg": [0, 0, 0], "lambda": "a"},
+def test_json_contradictions_are_schema_errors():
+    # the constructor refuses data that contradicts itself, and the
+    # decoder reports its message as malformed input
+    for bad, message in (
+        ({"type": "chain", "k": 2, "start": 0, "multideg": [0]}, "multideg must have length k"),
+        (
+            {"type": "band", "r": 1, "multideg": [0, 0, 0], "lambda": "a"},
+            "multideg must have length n*r",
+        ),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError) as info:
             object_from_json({"n": 2, "summands": [bad]})
+        assert str(info.value) == message

@@ -7,9 +7,11 @@ depend only on the field values.
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
-from ngonstab.charges import KClass, PhasePoint, Slope, slope_to_phase
+from ngonstab.charges import KClass, PhasePoint, Slope, slope_to_phase, value_class
 from ngonstab.compat import CompatReport, KAuto
 from ngonstab.gamma0 import CuspClass, Mat2
 from ngonstab.hn import HNPolygon, HNResult, HNSlice
@@ -33,12 +35,12 @@ MODULI_FIELDS = {"n": 3, "phase": DESCRIPTION.phase}
 
 # Each class with its fields, in declaration order, as stored canonical.
 TABLE = [
-    (KClass, {"n": 2, "chi": 1, "ranks": (1, 0)}),
+    (KClass, {"chi": 1, "ranks": (1, 0)}),
     (PhasePoint, {"two_shift": 1, "dir": (1, 2)}),
     (Slope, {"num": -1, "den": 2}),
     (Mat2, {"a": 1, "b": 2, "c": 0, "d": 1}),
     (CuspClass, {"N": 6, "c": 2, "a": 1}),
-    (KAuto, {"n": 1, "matrix": ((1, 0), (0, 1)), "amplitude_certificate": 0}),
+    (KAuto, {"matrix": ((1, 0), (0, 1)), "amplitude_certificate": 0}),
     (
         CompatReport,
         {
@@ -60,6 +62,25 @@ TABLE = [
     (SheafObject, {"summands": (CHAIN,)}),
 ]
 IDS = [cls.__name__ for cls, _ in TABLE]
+MODULES = ["charges", "gamma0", "compat", "sheaves", "hn", "moduli", "schemas", "cli"]
+
+
+def test_the_table_holds_every_value_class():
+    found = {
+        obj
+        for name in MODULES
+        for obj in vars(importlib.import_module(f"ngonstab.{name}")).values()
+        if isinstance(obj, type) and hasattr(obj, "_fields")
+    }
+    assert found == {cls for cls, _ in TABLE}
+
+
+def test_a_non_string_annotation_is_refused():
+    # a module without `from __future__ import annotations` fails at import
+    source = "@value_class\nclass Point:\n    x: int\n"
+    code = compile(source, "point.py", "exec", dont_inherit=True)
+    with pytest.raises(TypeError, match=r"^Point\.x: annotation is not a string$"):
+        exec(code, {"value_class": value_class})
 
 
 @pytest.mark.parametrize("cls, fields", TABLE, ids=IDS)
@@ -154,7 +175,7 @@ def test_a_slice_charge_lies_on_its_phase():
 
 
 def test_defaults_and_class_constants():
-    assert KAuto(1, ((1, 0), (0, 1))).amplitude_certificate is None
+    assert KAuto(((1, 0), (0, 1))).amplitude_certificate is None
     assert BandSheaf(2, 1, (0, 1), A).m == 1
     assert "galois_note" not in repr(DESCRIPTION)
     assert DESCRIPTION == ModuliDescription(**MODULI_FIELDS)
