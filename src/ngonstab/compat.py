@@ -4,9 +4,11 @@ An automorphism of the rank-(n+1) K-lattice is given by an integer
 matrix in the basis (e_0, e_1, ..., e_n) where e_0 is the point class
 and e_i the degree-(0,...,-1,...,0) line bundle class; columns are
 images, so the matrix size n + 1 fixes n and a `KAuto` stores no n of
-its own.  The central charge sends e_0 to -1 and each e_i to i (rank
-1, Euler characteristic 0), so its kernel is the rank-(n-1) lattice
-{chi = 0, sum of ranks = 0} with basis b_i = e_i - e_{i+1}.
+its own.  Every `KAuto` decides that it is unimodular by one exact
+Bareiss elimination, the pass that `invert` finishes by back
+substitution.  The central charge sends e_0 to -1 and each e_i to i
+(rank 1, Euler characteristic 0), so its kernel is the rank-(n-1)
+lattice {chi = 0, sum of ranks = 0} with basis b_i = e_i - e_{i+1}.
 
 The checkable conditions are: the kernel is preserved (so the matrix
 descends to the rank-2 charge image), the descended matrix has
@@ -84,12 +86,17 @@ def _as_int_matrix(rows: object) -> IntMatrix:
     return tuple(out)
 
 
-def _mat_det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
+def _eliminate(a: list[list[int]]) -> int:
+    """Bareiss (fraction-free) forward elimination of a's leading square
+    block, in place, carrying any further columns along; its determinant,
+    0 when singular.  Every entry written is a minor of the input, and
+    nothing below the diagonal is read again, so it is not cleared.  A
+    row step is skipped when the row's pivot-column entry is 0 and the
+    pivot equals the previous one, as it would compute row * p // prev =
+    row: on lifts, permutations and their products that leaves about n^2
+    work instead of n^3."""
+    n = len(a)
+    sign = prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             for i in range(k + 1, n):
@@ -99,12 +106,19 @@ def _mat_det(m: IntMatrix) -> int:
                     break
             else:
                 return 0
+        p = a[k][k]
+        tail = a[k][k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+            row = a[i]
+            f = row[k]
+            if f != 0 or p != prev:
+                row[k + 1:] = [(x * p - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = p
     return sign * a[n - 1][n - 1]
+
+
+def _mat_det(m: IntMatrix) -> int:
+    return _eliminate([list(row) for row in m])
 
 
 def _mat_mul(x: IntMatrix, y: IntMatrix) -> IntMatrix:
@@ -113,44 +127,33 @@ def _mat_mul(x: IntMatrix, y: IntMatrix) -> IntMatrix:
 
 
 def _mat_identity(n: int) -> IntMatrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n))
 
 
 def _mat_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix, by integer row operations.
+    """Inverse of a unimodular integer matrix.
 
-    Each column is cleared below the diagonal by the Euclidean algorithm
-    on its rows (swap, subtract an integer multiple), so every step is
-    unimodular and the diagonal left behind multiplies to +-det.  A
-    unimodular matrix therefore leaves +-1 on the whole diagonal, and
-    back substitution divides by nothing.
+    _eliminate runs on [m | I] and leaves m's upper triangle beside the
+    reduced identity.  With determinant +-1, m^-1 = +-adj m is an integer
+    matrix, so fraction-free back substitution on that triangle divides
+    every row exactly by its pivot.
     """
     n = len(m)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        while True:
-            live = [r for r in range(col, n) if a[r][col] != 0]
-            if not live:
-                raise ValueError("matrix is singular")
-            pivot = min(live, key=lambda r: abs(a[r][col]))
-            a[col], a[pivot] = a[pivot], a[col]
-            p = a[col][col]
-            for r in live:
-                if r != col and a[r][col] != 0:
-                    q = a[r][col] // p
-                    a[r] = [x - q * y for x, y in zip(a[r], a[col])]
-            if all(a[r][col] == 0 for r in range(col + 1, n)):
-                break
-    if any(abs(a[i][i]) != 1 for i in range(n)):
+    a = [list(row + e) for row, e in zip(m, _mat_identity(n))]
+    det = _eliminate(a)
+    if det == 0:
+        raise ValueError("matrix is singular")
+    if abs(det) != 1:
         raise ValueError("matrix is not unimodular")
-    for col in reversed(range(n)):
-        if a[col][col] == -1:
-            a[col] = [-x for x in a[col]]
-        for r in range(col):
-            f = a[r][col]
-            if f != 0:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    inv: list[tuple[int, ...]] = [()] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        acc = row[n:]
+        for j in range(i + 1, n):
+            if row[j] != 0:
+                acc = [x - row[j] * y for x, y in zip(acc, inv[j])]
+        inv[i] = tuple([x // row[i] for x in acc])
+    return tuple(inv)
 
 
 @value_class
@@ -353,24 +356,20 @@ def invert(A: KAuto) -> KAuto:
 
 
 def identity_kauto(n: int) -> KAuto:
+    if n < 1:
+        raise ValueError("n must be a positive integer")
     return KAuto(_mat_identity(n + 1), amplitude_certificate=0)
 
 
 def iota_kauto(n: int) -> KAuto:
     """Component rotation: e_0 fixed, e_i to e_{i+1} cyclically."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    size = n + 1
-    rows = [[0] * size for _ in range(size)]
-    rows[0][0] = 1
-    for j in range(1, n + 1):
-        rows[j % n + 1][j] = 1
-    return KAuto(tuple(tuple(r) for r in rows), amplitude_certificate=0)
+    rows = identity_kauto(n).matrix
+    return KAuto((rows[0], rows[n]) + rows[1:n], amplitude_certificate=0)
 
 
 def shift_square_kauto(n: int) -> KAuto:
     """The double shift: identity on the K-lattice, amplitude 2."""
-    return KAuto(_mat_identity(n + 1), amplitude_certificate=2)
+    return KAuto(identity_kauto(n).matrix, amplitude_certificate=2)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 
 from .charges import Slope, is_int
-from .compat import KAuto
+from .compat import KAuto, _as_int_matrix
 from .gamma0 import Mat2
 from .hn import MAX_SUBSET_CHARGES
 from .sheaves import (
@@ -53,18 +53,18 @@ __all__ = [
 # covering cycle n*r of a band count curve components; a K-class lists
 # one rank per component.
 MAX_N = 10_000
-# A K-matrix has n + 1 rows; a lift is built in O(n^2), but checking the
-# determinant of any K-matrix, lifted or decoded, is cubic in n (`lift`
-# takes about 0.65 s at the cap on a 2-CPU x86-64 host).
+# A K-matrix has n + 1 rows.  A lift is built and checked in about n^2
+# steps (`lift` takes about 0.04 s at the cap with 100-digit entries on
+# a 2-CPU x86-64 host); MAX_DET_WORK bounds a dense file's n^3.
 MAX_K_N = 200
-# Decoding a K-matrix checks its determinant by Bareiss elimination:
-# about n^3 steps on integers as long as the Hadamard bound prod ||row||,
+# Decoding a K-matrix checks its determinant by Bareiss elimination: at
+# most n^3 steps on integers as long as the Hadamard bound prod ||row||,
 # which bounds every minor.  The cap on n^2 times the bits of that bound
 # keeps the check under about 0.6 s on a 2-CPU x86-64 host: it admits
-# dense files of 1-digit entries up to n = 118, of 100-digit entries up
-# to n = 30, and lifts of short level words at n = MAX_K_N (tens of
-# bits); at n = MAX_K_N it refuses a lift whose level matrix has an entry
-# of 76 digits or more.
+# dense files of 1-digit entries up to n = 118 (0.3 s), of 100-digit
+# entries up to n = 30 (0.45 s), and lifts of short level words at
+# n = MAX_K_N (tens of bits, 0.02 s); at n = MAX_K_N it refuses a lift
+# whose level matrix has an entry of 76 digits or more.
 MAX_DET_WORK = 10_000_000
 # One box oracle call visits (2 * box + 1)^2 lattice points, about 160k
 # at the cap.
@@ -210,16 +210,16 @@ def kauto_from_json(obj: object) -> KAuto:
     n = _size(obj, "n", MAX_K_N, "K-matrix")
     matrix = _field(obj, "matrix", "K-matrix")
     amplitude = obj.get("amplitude_M")
-    # the row count against n before any row is read, then the rows, and
-    # digits and determinant work, since the constructor's determinant
-    # grows with both
+    # the row count against n before any row is read, then compat's rule
+    # for the rows, then digits and determinant work, since the
+    # constructor's determinant grows with both
     size = n + 1
-    if not isinstance(matrix, list) or len(matrix) != size or not all(
-        isinstance(row, list) and len(row) == size for row in matrix
-    ):
+    if not isinstance(matrix, list) or len(matrix) != size:
         raise SchemaError(f"expected a {size}x{size} integer matrix")
-    if not all(is_int(x) for row in matrix for x in row):
-        raise SchemaError("matrix entries must be integers")
+    try:
+        matrix = _as_int_matrix(matrix)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
     _check_digits([x for row in matrix for x in row])
     _check_digits([amplitude] if is_int(amplitude) else [])
     # ceil(log2 ||row||) per row: half of ceil(log2 of the sum of squares)

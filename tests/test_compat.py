@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +31,7 @@ from ngonstab.compat import (
     order_preserved_brute_force,
     shift_square_kauto,
     _box_members,
+    _mat_det,
     _mat_identity,
     _mat_inverse,
     _mat_mul,
@@ -120,6 +122,9 @@ def test_kauto_from_json_checks_the_shape_against_n_first():
             kauto_from_json({"n": 2, "matrix": matrix})
     with pytest.raises(SchemaError, match="^matrix entries must be integers$"):
         kauto_from_json({"n": 1, "matrix": [[1, 0], [0, True]]})
+    # a non-integer entry before a ragged row: either fault may be named
+    with pytest.raises(SchemaError, match="^(expected a 2x2 integer|matrix entries must be)"):
+        kauto_from_json({"n": 1, "matrix": [[1, 0.5], [0]]})
 
 
 def test_apply_kauto_rotates_components():
@@ -309,6 +314,101 @@ def test_integer_inverse_refuses_non_unimodular():
         _mat_inverse(((3, 1), (1, 1)))  # det 2, no zero pivot on the way
     with pytest.raises(ValueError, match="singular"):
         _mat_inverse(((3, 0), (3, 0)))
+
+
+def permutation_sign(perm) -> int:
+    inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+    return (-1) ** inversions
+
+
+def leibniz_det(m) -> int:
+    """The determinant by its definition, a signed sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        term = permutation_sign(perm)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def rational_inverse(m):
+    """_mat_inverse's answer by Gauss-Jordan over the rationals: the
+    inverse, or the message for a singular or non-unimodular matrix."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return "matrix is singular"
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            f = a[r][col]
+            if r != col and f != 0:
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    if any(x.denominator != 1 for row in a for x in row[n:]):
+        return "matrix is not unimodular"  # an integer inverse needs det +-1
+    return tuple(tuple(int(x) for x in row[n:]) for row in a)
+
+
+def inverse_or_refusal(m):
+    try:
+        return _mat_inverse(m)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_elimination_matches_the_definitions_on_small_matrices():
+    rng = random.Random(25)
+    kinds = set()
+    for trial in range(600):
+        n = 1 + trial % 5
+        m = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+        det = leibniz_det(m)
+        kinds.add(min(abs(det), 2))
+        assert _mat_det(m) == det, m
+        assert inverse_or_refusal(m) == rational_inverse(m), m
+    assert kinds == {0, 1, 2}  # singular, unimodular and |det| >= 2 all drawn
+
+
+def permutation_matrix(perm) -> tuple:
+    """Columns are images: e_j goes to e_perm[j]."""
+    size = len(perm)
+    return tuple(tuple(int(perm[j] == i) for j in range(size)) for i in range(size))
+
+
+def test_elimination_on_lifts_permutations_and_products():
+    # the structured K-matrices the library builds, where the elimination
+    # skips the row steps that change nothing
+    rng = random.Random(26)
+    for n in (1, 2, 3, 4, 6, 8, 12):
+        for _ in range(3):
+            lift = lift_k_matrix(n, random_gamma0(rng, n)).matrix
+            other = lift_k_matrix(n, random_gamma0(rng, n)).matrix
+            fixed = [0] + rng.sample(range(1, n + 1), n)
+            moved = rng.sample(range(n + 1), n + 1)
+            if moved[0] == 0:  # the point class goes elsewhere
+                moved[0], moved[1] = moved[1], moved[0]
+            cases = [
+                (lift, 1),
+                (permutation_matrix(fixed), permutation_sign(fixed)),
+                (permutation_matrix(moved), permutation_sign(moved)),
+                (_mat_mul(lift, other), 1),
+                (_mat_mul(lift, permutation_matrix(moved)), permutation_sign(moved)),
+                (_mat_mul(permutation_matrix(fixed), lift), permutation_sign(fixed)),
+            ]
+            for m, det in cases:
+                assert _mat_det(m) == det, m
+                assert _mat_inverse(m) == rational_inverse(m), m
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("make", [identity_kauto, iota_kauto, shift_square_kauto])
+def test_lattice_constructors_refuse_n_below_1(make, n):
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
+        make(n)
 
 
 def test_k_matrix_decoder_is_capped():
