@@ -80,7 +80,8 @@ def _as_int_matrix(rows: object) -> IntMatrix:
     for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) != size:
             raise ValueError(f"expected a {size}x{size} integer matrix")
-        if not all(is_int(x) for x in row):
+        # one C-level pass for exact ints; is_int judges anything else
+        if set(map(type, row)) != {int} and not all(is_int(x) for x in row):
             raise ValueError("matrix entries must be integers")
         out.append(tuple(row))
     return tuple(out)
@@ -239,6 +240,8 @@ def compute_m(M: Mat2, n: int) -> PhasePoint:
     where -v must land in M^{-1}(H'), a half-plane whose open boundary
     ray points along u.  Four exact cases result, each attained by a
     lattice vector, so the box oracle reaches the sup at finite size.
+    The case u = (1, 0), where the whole H' window survives, needs no
+    branch of its own: the last line returns -u = (-1, 0) for it.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -249,8 +252,6 @@ def compute_m(M: Mat2, n: int) -> PhasePoint:
     if in_h_prime(u):
         if uy == 0:  # u along (-1, 0): the comparable half is empty
             return PhasePoint(-1, (1, 0))
-        return PhasePoint(0, (-1, 0))
-    if uy == 0:  # u along (1, 0): the whole H' window survives
         return PhasePoint(0, (-1, 0))
     return PhasePoint(0, (-ux, -uy))
 
@@ -428,22 +429,25 @@ def order_preserved_brute_force(M: Mat2, n: int, box: int) -> bool:
     reversing map reverses the walk and produces descents at almost
     every step.  Like check_order, it accepts M and -M alike.
 
-    The walk orders two images by its own rule, not by the library's
-    phase comparison: an image in H' (phases (0, 1]) comes before one
-    outside it, and two images on the same side, which span less than
-    a half turn, are ordered by the sign of their cross product, 0
-    meaning one ray.
+    Each member's image is computed inside the walk, starting from the
+    image of the last member, and compared with the one before by the
+    walk's own rule, not the library's phase comparison: an image in H'
+    (phases (0, 1]) comes before one outside it, and two images on the
+    same side, which span less than a half turn, are ordered by the sign
+    of their cross product, 0 meaning one ray.
     """
     if M.det not in (1, -1):
         raise ValueError("order check expects an invertible integer matrix")
-    a, b, c, d = M.a, M.b, M.c, M.d
-    images = [(a * x + b * y, c * x + d * y) for x, y in _box_members(M, n, box)]
-    if len(images) <= 2:
+    members = _box_members(M, n, box)
+    if len(members) <= 2:
         return True
+    a, b, c, d = M.a, M.b, M.c, M.d
     descents = 0
-    px, py = images[-1]
+    x, y = members[-1]
+    px, py = a * x + b * y, c * x + d * y
     p_up = py > 0 or (py == 0 and px < 0)
-    for x, y in images:
+    for x, y in members:
+        x, y = a * x + b * y, c * x + d * y
         up = y > 0 or (y == 0 and x < 0)
         if up == p_up:
             cross = px * y - py * x
@@ -465,10 +469,22 @@ def box_sup_phase(M: Mat2, n: int, box: int) -> tuple[PhasePoint, ChargeVec]:
 
     A lower bound for the true sup m + 1; compute_m's case analysis says
     the sup is attained at a lattice direction, so large enough boxes
-    reach it exactly.  Members arrive in ascending phase with no ties,
-    so the last one is the witness.
+    reach it exactly.  The box is sorted by phase with no ties, so the
+    scan runs from its end under _box_members' rule and the first member
+    it meets is the witness; when the second half holds none, the last
+    H' vector pts[half - 1] is.
     """
-    members = _box_members(M, n, box)
-    if not members:
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    pts = _sorted_primitive_box(box)
+    half = len(pts) // 2
+    if not half:
         raise ValueError("no members in the box")
-    return phase_of_charge(members[-1]), members[-1]
+    a, b, c, d = M.a, M.b, M.c, M.d
+    witness = pts[half - 1]
+    for i in range(len(pts) - 1, half - 1, -1):
+        x, y = pts[i]
+        if (im := c * x + d * y) < 0 or (im == 0 and a * x + b * y > 0):
+            witness = pts[i]
+            break
+    return phase_of_charge(witness), witness

@@ -212,8 +212,6 @@ def _solve_congruence(alpha: int, beta: int, mod: int) -> int:
     d = gcd(alpha, mod)
     if beta % d != 0:
         raise ValueError("congruence has no solution")
-    if mod == d:
-        return 0
     m2 = mod // d
     return ((beta // d) * pow(alpha // d, -1, m2)) % m2
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from ngonstab.charges import (
     add_half_turns,
     in_h_prime,
     phase_cmp,
+    phase_of_charge,
     phase_sort_key,
 )
 from ngonstab.compat import (
@@ -445,9 +447,7 @@ UNIMODULAR = [
 ]
 
 
-@given(st.sampled_from(UNIMODULAR), st.sampled_from((1, 2)), st.integers(0, 8))
-@settings(max_examples=300)
-def test_cyclic_oracle_matches_its_definition(m, n, box):
+def _order_preserved_by_definition(m, n, box):
     # order is preserved when the images, in member order, are a rotation
     # of their phase-sorted order with no two on one ray
     images = [m.matvec(v) for v in _box_members(m, n, box)]
@@ -455,8 +455,28 @@ def test_cyclic_oracle_matches_its_definition(m, n, box):
     keys = [phase_sort_key(v) for v in ordered]
     distinct = all(p < q for p, q in zip(keys, keys[1:]))
     cut = images.index(ordered[0]) if images else 0
-    expected = distinct and images[cut:] + images[:cut] == ordered
-    assert order_preserved_brute_force(m, n, box) == expected
+    return distinct and images[cut:] + images[:cut] == ordered
+
+
+@given(st.sampled_from(UNIMODULAR), st.sampled_from((1, 2)), st.integers(0, 8))
+@settings(max_examples=300)
+def test_cyclic_oracle_matches_its_definition(m, n, box):
+    assert order_preserved_brute_force(m, n, box) == _order_preserved_by_definition(m, n, box)
+
+
+def test_cyclic_oracle_matches_its_definition_at_workload_radii():
+    rng = random.Random(2610)
+    plus = [m for m in UNIMODULAR if m.det == 1]
+    minus = [m for m in UNIMODULAR if m.det == -1]
+    cases = [(m, box) for box in (10, 25) for m in rng.sample(plus, 20) + rng.sample(minus, 20)]
+    cases += [(m, 50) for m in rng.sample(plus, 3) + rng.sample(minus, 2)]
+    cases += [(m, 50) for m in (ROT, -Mat2.identity(), Mat2(0, 1, 1, 0))]
+    verdicts = []
+    for m, box in cases:
+        expected = _order_preserved_by_definition(m, 2, box)
+        assert order_preserved_brute_force(m, 2, box) == expected, (m, box)
+        verdicts.append(expected)
+    assert True in verdicts and False in verdicts
 
 
 def test_first_half_of_the_sorted_box_is_h_prime():
@@ -468,6 +488,49 @@ def test_first_half_of_the_sorted_box_is_h_prime():
 def test_box_sup_phase_refuses_an_empty_box():
     with pytest.raises(ValueError, match="no members in the box"):
         box_sup_phase(Mat2.identity(), 1, 0)
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
+        box_sup_phase(Mat2.identity(), 0, 0)
+
+
+def test_box_sup_phase_is_the_last_member():
+    small = [m for m in UNIMODULAR if max(map(abs, (m.a, m.b, m.c, m.d))) <= 3]
+    # -I keeps exactly the H' half, so the second half holds no member
+    pts = _sorted_primitive_box(12)
+    assert -Mat2.identity() in small
+    assert _box_members(-Mat2.identity(), 1, 12) == list(pts[: len(pts) // 2])
+    for m in small:
+        for n in (1, 3):
+            for box in range(13):
+                members = _box_members(m, n, box)
+                if not members:
+                    with pytest.raises(ValueError, match="no members in the box"):
+                        box_sup_phase(m, n, box)
+                    continue
+                v = members[-1]
+                assert box_sup_phase(m, n, box) == (phase_of_charge(v), v), (m, n, box)
+
+
+def _traced_peak(f, *args):
+    """Peak bytes held by what f allocates, tracing from its start."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("m", [Mat2.identity(), Mat2(2, 1, 1, 1), Mat2(0, 1, 1, 0)])
+def test_box_oracles_build_no_per_member_objects(m):
+    # At box 50 (6,192 vectors) the walk holds only its member list, about
+    # 16 bytes per box vector at the peak (100.6 KB for the identity), and
+    # box_sup_phase under 0.5 KB.  The bounds allow 1.5x and 8x that; one
+    # image tuple per member would add over 60 bytes per member, and a
+    # member list in box_sup_phase over 50 KB.
+    size = len(_sorted_primitive_box(50))
+    order_preserved_brute_force(m, 2, 50)
+    assert _traced_peak(order_preserved_brute_force, m, 2, 50) <= 24 * size
+    assert _traced_peak(box_sup_phase, m, 2, 50) <= 4096
 
 
 def test_cyclic_oracle_handles_negated_representatives():
