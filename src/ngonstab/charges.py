@@ -48,6 +48,13 @@ def is_int(x: object) -> bool:
 
 
 def _int_tuple(value: object, what: str) -> tuple[int, ...]:
+    if type(value) is tuple:
+        # an exact tuple of exact ints passes as is, with one compare per entry
+        for x in value:
+            if type(x) is not int:
+                break
+        else:
+            return value
     if not isinstance(value, (tuple, list)):
         raise ValueError(f"{what} must be a sequence of integers")
     out = tuple(value)
@@ -103,16 +110,7 @@ def value_class(cls: type) -> type:
                 f"\n        raise ValueError({name + ' must be an integer'!r})"
             )
         elif annotations[name] in _INT_TUPLE_TYPES:
-            # an exact tuple of exact ints passes with one compare per entry
-            body += (
-                f"\n    if type({name}) is tuple:"
-                f"\n        for _x in {name}:"
-                f"\n            if type(_x) is not int:"
-                f"\n                {name} = _int_tuple({name}, {name!r})"
-                f"\n                break"
-                f"\n    else:"
-                f"\n        {name} = _int_tuple({name}, {name!r})"
-            )
+            body += f"\n    {name} = _int_tuple({name}, {name!r})"
             if annotations[name] == "ChargeVec":
                 body += (
                     f"\n    if len({name}) != 2:"

@@ -195,14 +195,15 @@ class KAuto:
 def check_kernel(A: KAuto) -> bool:
     """True iff A maps the charge kernel {chi = 0, sum of ranks = 0} into itself.
 
-    Checked on the basis b_i = e_i - e_{i+1}; since the kernel has finite
-    rank and A is invertible, "into" already gives an automorphism.
+    On the basis b_i = e_i - e_{i+1}, A b_i is column i minus column
+    i + 1, so the test is that row 0 and the column sums of rows 1..n are
+    each constant on columns 1..n, read off one transposed pass.  Since
+    the kernel has finite rank and A is invertible, "into" already gives
+    an automorphism.
     """
-    for i in range(1, A.n):
-        col = [A.matrix[r][i] - A.matrix[r][i + 1] for r in range(A.n + 1)]
-        if col[0] != 0 or sum(col[1:]) != 0:
-            return False
-    return True
+    top, *rest = A.matrix
+    sums = list(map(sum, zip(*rest)))
+    return len(set(top[1:])) == 1 and len(set(sums[1:])) == 1
 
 
 def _descend_matrix(A: KAuto) -> Mat2:

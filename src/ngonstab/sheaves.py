@@ -47,6 +47,7 @@ component it folds onto) between levels.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import accumulate, product
 from math import gcd
 
@@ -411,9 +412,30 @@ def object_charge(s: Summand | SheafObject) -> ChargeVec:
     return (re, im)
 
 
+# Value-keyed memos of the summand fast path.  A direct sum repeats the
+# values of its short summands, and a phase or verdict depends on the
+# value alone.  Each memo keeps at most _MEMO_SIZE keys and admits only
+# vectors of at most _MEMO_LEN entries, so the three hold at most
+# 3 * _MEMO_SIZE keys of at most _MEMO_LEN integers; a longer vector goes
+# straight to the kernel.
+_MEMO_SIZE = 1024
+_MEMO_LEN = 32
+
+
 def phase(s: Summand | SheafObject) -> PhasePoint:
-    """Phase of the central charge; honest sheaves land in (0, 1]."""
-    return phase_of_charge(object_charge(s))
+    """Phase of the central charge; honest sheaves land in (0, 1].
+
+    Memoized on the exact-int charge pair, which a direct sum's summands
+    repeat: a repeated charge costs one lookup, not a new `PhasePoint`.
+    """
+    return _phase_memo(object_charge(s))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _phase_memo(c: ChargeVec) -> PhasePoint:
+    # phase_of_charge is read at call time, so a wrapper bound over the
+    # name sees each miss
+    return phase_of_charge(c)
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +567,11 @@ def double_shift(s):
 def is_semistable(s: Summand) -> str:
     """Slope-stability verdict for one summand.
 
+    The chain scan depends on the degree vector alone and the band scan
+    on the core's degree vector alone, and a direct sum repeats both, so
+    each scan is memoized on its vector: at most 1024 vectors each, none
+    longer than 32 entries; a longer one is scanned every time.
+
     Torsion: a length-one point admits no proper subsheaf; longer ones
     are iterated equal-phase extensions.  Chains and bands compare every
     proper contiguous interval, with the degree cut by one at each end
@@ -567,20 +594,22 @@ def is_semistable(s: Summand) -> str:
     if isinstance(s, TorsionSheaf):
         return STABLE if s.length == 1 else SEMISTABLE
     if isinstance(s, ChainSheaf):
-        return _chain_interval_verdict(s.k, s.multideg)
+        return _judge(_chain_memo, s.multideg)
     if isinstance(s, BandSheaf):
         return _band_verdict(s)
     raise TypeError(f"not an indecomposable summand model: {type(s).__name__}")
 
 
-def _chain_interval_verdict(k: int, d: tuple[int, ...]) -> str:
-    # The interval [i, j] has excess chi_sub*k - chi*ell equal to
-    # k*(1 - cuts) + f(j + 1) - f(i), with f(0) = 0 and f(k) = -k.  The
-    # prefix ending at t - 1 has excess f(t) and the suffix starting at t
-    # has excess -k - f(t).  An interior interval has excess
+def _chain_interval_verdict(d: tuple[int, ...]) -> str:
+    # A chain of length k = len(d).  The interval [i, j] has excess
+    # chi_sub*k - chi*ell equal to k*(1 - cuts) + f(j + 1) - f(i), with
+    # f(0) = 0 and f(k) = -k.  The prefix ending at t - 1 has excess f(t)
+    # and the suffix starting at t has excess -k - f(t).  An interior
+    # interval has excess
     # f(b) - f(a) - k for 1 <= a < b < k, which is negative once every
     # f(t) lies in [-k, 0] and zero only where a prefix is already tied,
     # so the least and the greatest f(t) decide the verdict.
+    k = len(d)
     if k == 1:  # one line has no proper interval
         return STABLE
     chi = 1 + sum(d)
@@ -597,7 +626,7 @@ def _band_verdict(b: BandSheaf) -> str:
     # whose degrees are the first nq entries.  Either way semistability
     # passes through and stability never does.
     q = b.period
-    core = _cycle_verdict(b.multideg[: b.n * q])
+    core = _judge(_cycle_memo, b.multideg[: b.n * q])
     return SEMISTABLE if core == STABLE and (b.m > 1 or q < b.r) else core
 
 
@@ -614,6 +643,15 @@ def _cycle_verdict(d: tuple[int, ...]) -> str:
     if spread > N:
         return UNSTABLE
     return SEMISTABLE if spread == N else STABLE
+
+
+_chain_memo = lru_cache(maxsize=_MEMO_SIZE)(_chain_interval_verdict)
+_cycle_memo = lru_cache(maxsize=_MEMO_SIZE)(_cycle_verdict)
+
+
+def _judge(memo, d: tuple[int, ...]) -> str:
+    """memo(d), or for d longer than _MEMO_LEN the kernel memo wraps."""
+    return memo(d) if len(d) <= _MEMO_LEN else memo.__wrapped__(d)
 
 
 def brute_force_chain_verdict(c: ChainSheaf) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import enum
 import math
 import random
 
@@ -18,6 +19,7 @@ from ngonstab.charges import (
     phase_of_charge,
     phase_sort_key,
     primitive,
+    _int_tuple,
 )
 from ngonstab.schemas import SchemaError, parse_slope
 
@@ -86,6 +88,31 @@ def test_phase_of_charge_pins():
     assert phase_of_charge((1, 0)) == PhasePoint(0, (1, 0))
     with pytest.raises(ValueError):
         phase_of_charge((0, 0))
+    # the input boundary: a boolean entry is refused, not read as 1, and
+    # a list is read as its tuple
+    with pytest.raises(ValueError, match="^dir must contain only integers$"):
+        phase_of_charge((True, 1))
+    assert phase_of_charge([2, 2]) == PhasePoint(0, (1, 1))
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+def test_int_tuple_passes_exact_ints_and_checks_the_rest():
+    exact = (3, -4, 10**30)
+    assert _int_tuple(exact, "v") is exact
+    assert _int_tuple([3, -4], "v") == (3, -4)
+    got = _int_tuple((Level.ONE, 2), "v")
+    assert got == (1, 2) and type(got) is tuple
+    assert _int_tuple([Level.TWO], "v") == (2,)
+    for bad in ((True, 1), (1, False), (1.0, 2), [2, 2.5], [True]):
+        with pytest.raises(ValueError, match="^v must contain only integers$"):
+            _int_tuple(bad, "v")
+    for bad in (None, 7, "01", {1, 2}, range(2)):
+        with pytest.raises(ValueError, match="^v must be a sequence of integers$"):
+            _int_tuple(bad, "v")
 
 
 def test_phase_point_validation():

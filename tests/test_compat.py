@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ngonstab.charges import (
+    KClass,
     PhasePoint,
     add_half_turns,
+    charge,
     in_h_prime,
     phase_cmp,
     phase_of_charge,
@@ -142,6 +144,57 @@ def test_check_kernel():
     # e_2 picks up an extra e_1: rank sums of kernel vectors drift
     broken = KAuto(((1, 0, 0), (0, 1, 1), (0, 0, 1)))
     assert not check_kernel(broken)
+
+
+def _kernel_literal(A: KAuto) -> bool:
+    """check_kernel by its definition: A b_i has zero charge for every
+    kernel basis vector b_i = e_i - e_{i+1}."""
+    n = A.n
+    for i in range(1, n):
+        b = [0] * (n + 1)
+        b[i], b[i + 1] = 1, -1
+        image = [sum(x * y for x, y in zip(row, b)) for row in A.matrix]
+        if charge(KClass(image[0], tuple(image[1:]))) != (0, 0):
+            return False
+    return True
+
+
+def _elementary(n: int, r: int, c: int, t: int) -> KAuto:
+    """The identity on the rank-(n+1) lattice plus t in entry (r, c), r != c."""
+    rows = [list(row) for row in _mat_identity(n + 1)]
+    rows[r][c] = t
+    return KAuto(tuple(map(tuple, rows)))
+
+
+def test_check_kernel_matches_its_definition():
+    rng = random.Random(2027)
+    cases = []
+    for n in (1, 2, 3, 5, 8, 12):
+        size = n + 1
+        cases.append(identity_kauto(n))
+        cases.append(lift_k_matrix(n, random_gamma0(rng, n)))
+        # permutations of the components keep the kernel; one that moves
+        # e_0 need not
+        perm = list(range(1, size))
+        rng.shuffle(perm)
+        for order in ([0, *perm], rng.sample(range(size), size)):
+            cases.append(KAuto(tuple(
+                tuple(int(order[c] == r) for c in range(size)) for r in range(size)
+            )))
+        for _ in range(12):
+            A = lift_k_matrix(n, random_gamma0(rng, n))
+            for _ in range(rng.randint(1, 2)):
+                r, c = rng.sample(range(size), 2)
+                A = compose(A, _elementary(n, r, c, rng.choice((-2, -1, 1, 2))))
+            cases.append(A)
+    verdicts = [check_kernel(A) for A in cases]
+    assert verdicts == [_kernel_literal(A) for A in cases]
+    assert {True, False} <= set(verdicts)
+    # n = 1 has no kernel basis vector: every automorphism passes
+    assert all(check_kernel(A) for A in cases if A.n == 1)
+    assert not check_kernel(_elementary(2, 1, 2, 1))
+    assert not check_kernel(_elementary(2, 0, 1, 1))
+    assert check_kernel(_elementary(2, 1, 0, 5))
 
 
 def test_conjugate_by_D():

@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ngonstab.charges import KClass, PhasePoint, charge
+from ngonstab import sheaves
+from ngonstab.charges import KClass, PhasePoint, charge, phase_of_charge
 from ngonstab.schemas import SchemaError, object_from_json, parse_label
 from ngonstab.sheaves import (
     SEMISTABLE,
@@ -528,6 +529,99 @@ def test_long_balanced_summands_are_stable():
     band = BandSheaf(8, 500, tuple(_staircase(4000, 1333)), A)
     assert band.period == band.r
     assert is_semistable(band) == STABLE
+
+
+# ---------------------------------------------------------------------------
+# value-keyed memos
+
+MEMOS = (sheaves._phase_memo, sheaves._chain_memo, sheaves._cycle_memo)
+
+
+def _clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def test_memos_admit_no_vector_past_the_bound():
+    rng = random.Random(2701)
+    bound = sheaves._MEMO_LEN
+
+    def degrees(length):
+        return tuple(rng.randint(-2, 2) for _ in range(length))
+
+    # a core past the bound: one sheet of bound + 1, or bound + 1 sheets
+    # of one line that no shorter rotation repeats
+    past = [
+        ChainSheaf(3, bound + 1, 0, degrees(bound + 1)),
+        BandSheaf(bound + 1, 1, degrees(bound + 1), A),
+        BandSheaf(1, bound + 1, (1,) + (0,) * bound, A),
+        ChainSheaf(7, 600, 2, degrees(600)),
+        BandSheaf(8, 50, (3,) + degrees(399), A),
+    ]
+    assert all(s.period == s.r for s in past if isinstance(s, BandSheaf))
+    _clear_memos()
+    for s in past:
+        is_semistable(s)
+    assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0, 0]
+    # a vector at the bound is admitted, and a repeat is a hit
+    at = [ChainSheaf(3, bound, 0, degrees(bound)), BandSheaf(bound, 1, degrees(bound), A)]
+    for s in at * 2:
+        is_semistable(s)
+    info = [memo.cache_info() for memo in MEMOS[1:]]
+    assert [(i.currsize, i.hits) for i in info] == [(1, 1), (1, 1)]
+    # the literal oracles never read a memo
+    before = [memo.cache_info() for memo in MEMOS]
+    small = ChainSheaf(2, 5, 0, degrees(5))
+    brute_force_chain_verdict(small)
+    exhaustive_chain_verdict(small)
+    brute_force_band_verdict(BandSheaf(2, 2, degrees(4), A, 2))
+    assert [memo.cache_info() for memo in MEMOS] == before
+
+
+def _memo_corpus():
+    """Short summands with the values a direct sum repeats, their turns
+    and twists, and long balanced and random chains and bands."""
+    rng = random.Random(2702)
+    corpus = list(random_corpus(2703, 400, kinds=("chain", "band", "torsion")))
+    for s in corpus[:100]:
+        corpus.append(galois_translate(s, rng.randint(1, 5)))
+        deg = tuple(rng.randint(-1, 1) for _ in range(s.n))
+        corpus.append(tensor_line(s, deg, ONE))
+    for k in (40, 120, 600):
+        d = _staircase(k, rng.randint(-k, k))
+        d[-1] -= 1
+        corpus.append(ChainSheaf(5, k, 1, tuple(_bumped(d, rng))))
+        corpus.append(ChainSheaf(5, k, 0, tuple(rng.randint(-2, 2) for _ in range(k))))
+    for n, r in ((10, 4), (8, 15), (10, 40)):
+        d = _bumped(_staircase(n * r, rng.randint(-n * r, n * r)), rng)
+        corpus.append(BandSheaf(n, r, tuple(d), A, rng.randint(1, 2)))
+    return corpus
+
+
+def test_memoized_verdicts_and_phases_equal_cold_and_literal_ones():
+    corpus = _memo_corpus()
+    objects = [SheafObject(tuple(corpus[i : i + 7])) for i in range(0, 84, 7)
+               if len({s.n for s in corpus[i : i + 7]}) == 1]
+    _clear_memos()
+    cold = [(is_semistable(s), phase(s)) for s in corpus]
+    cold_objects = [phase(obj) for obj in objects]
+    misses = [memo.cache_info().misses for memo in MEMOS]
+    warm = [(is_semistable(s), phase(s)) for s in corpus]
+    assert warm == cold
+    assert [phase(obj) for obj in objects] == cold_objects
+    # the warm pass read every short value back from the memos
+    assert [memo.cache_info().misses for memo in MEMOS] == misses
+    seen = set()
+    for s, (verdict, ph) in zip(corpus, cold):
+        assert ph == phase_of_charge(charge(k_class(s))), s
+        if isinstance(s, ChainSheaf) and s.k <= 8:
+            assert verdict == brute_force_chain_verdict(s), s
+        elif isinstance(s, BandSheaf) and s.n * s.r <= 6:
+            assert verdict == brute_force_band_verdict(s), s
+        seen.add(verdict)
+    assert seen == {STABLE, SEMISTABLE, UNSTABLE}
+    for obj, ph in zip(objects, cold_objects):
+        assert ph == phase_of_charge(charge(k_class(obj)))
 
 
 def test_object_charge_matches_k_class():
