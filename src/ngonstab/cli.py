@@ -205,7 +205,8 @@ def _cmd_charge(args):
 
 
 def _oracle_verdict(part):
-    # null where the literal search would run too long
+    # null past the caps, where the cubic literal search would run too
+    # long for a file of MAX_ORACLE_VERDICTS summands
     if isinstance(part, ChainSheaf):
         small = part.k <= schemas.MAX_ORACLE_CHAIN
         return brute_force_chain_verdict(part) if small else None

@@ -77,11 +77,13 @@ MAX_RIGID_DEGREES = 100_000
 # at this level (Python 3.11 on a 2-CPU x86-64 machine).
 MAX_ORACLE_LEVEL = 150
 # semistable --oracle reports null above these: the chain oracle is cubic
-# in the chain length k, the band oracle exponential in the cycle length
-# n*r.  It refuses files of more summands than MAX_ORACLE_VERDICTS: 100
-# chains at the chain cap take 0.7-1.1 s with one-digit degrees and
-# 1.7-2.6 s with degrees of MAX_INT_DIGITS digits (Python 3.11 on a
-# 2-CPU x86-64 machine).
+# in the chain length k (about 5 ms at the cap), the band oracle cubic in
+# the cycle length n*r (about 0.02 ms at the cap).  It refuses files of
+# more summands than MAX_ORACLE_VERDICTS.  The costliest admitted file is
+# 100 chains at the chain cap: 0.49-0.59 s with one-digit degrees and
+# 1.14-1.29 s with degrees of MAX_INT_DIGITS digits; 100 bands at the
+# band cap take under 0.01 s (best of 3 through cli.run, Python 3.11 on
+# a 2-CPU x86-64 machine).
 MAX_ORACLE_CHAIN = 100
 MAX_ORACLE_BAND = 6
 MAX_ORACLE_VERDICTS = 100

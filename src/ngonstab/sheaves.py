@@ -27,8 +27,9 @@ chi*t must stay in [-k, 0], and on an indecomposable band around the
 N-cycle the periodic g(t) = N*P[t] - chi*t must spread by at most N;
 touching 0 or -k, or spreading by exactly N, is a tie.  Both cost O(k)
 or O(N).
-The ``brute_force_*`` oracles re-derive the verdicts by enumerating the
-intervals and their twisted subsheaves directly.
+The ``brute_force_*`` oracles re-derive the verdicts by enumerating every
+interval and the Euler characteristics of its twisted subsheaves
+directly, in O(k^3) or O(N^3).
 
 Gluing parameters never enter any computed quantity except through
 equality tests, so ``Label`` models them as elements of a free abelian
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate
 from math import gcd
 
 from .charges import (
@@ -83,7 +84,6 @@ __all__ = [
     "double_shift",
     "is_semistable",
     "brute_force_chain_verdict",
-    "exhaustive_chain_verdict",
     "brute_force_band_verdict",
     "random_label",
     "random_summand",
@@ -657,90 +657,57 @@ def _judge(memo, d: tuple[int, ...]) -> str:
 def brute_force_chain_verdict(c: ChainSheaf) -> str:
     """Chain verdict by enumerating subsheaf Euler characteristics directly.
 
-    A subsheaf supported on an interval is a line bundle there whose
-    total degree is at most the restricted degree minus the mandatory
-    boundary cuts; only the total matters for chi, so enumerating totals
-    down to two below the maximum covers every distribution of up to two
-    extra twists.  Twisting deeper only lowers chi, which the assert pins
-    on the way through.
+    Every proper interval [i, j] of the chain, cut once at each end that
+    meets the rest of the curve, through `_literal_verdict`.  Cubic in k.
     """
-    k, d = c.k, c.multideg
-    total = 1 + sum(d)
-    saw_equal = False
-    saw_over = False
-    for i in range(k):
-        for j in range(i, k):
-            if i == 0 and j == k - 1:
-                continue
-            cuts = (i > 0) + (j < k - 1)
-            base = 1 + sum(d[i : j + 1]) - cuts
-            ell = j - i + 1
-            for extra in range(3):
-                chi_sub = base - extra
-                if chi_sub * k > total * ell:
-                    # a deeper twist never destabilizes before the maximal one
-                    assert base * k > total * ell
-                    saw_over = True
-                elif chi_sub * k == total * ell:
-                    saw_equal = True
-    if saw_over:
-        return UNSTABLE
-    return SEMISTABLE if saw_equal else STABLE
-
-
-def exhaustive_chain_verdict(c: ChainSheaf) -> str:
-    """Literal sub-multidegree enumeration, down to two twists below each
-    restricted degree; cost grows as 3^k."""
     k = c.k
     spans = [
-        (i, j - i + 1, i > 0, j < k - 1)
+        (i, j - i + 1, (i > 0) + (j < k - 1))
         for i in range(k)
         for j in range(i, k)
         if i > 0 or j < k - 1
     ]
-    return _literal_verdict(c.multideg, 1 + sum(c.multideg), spans, 2)
+    return _literal_verdict(c.multideg, 1 + sum(c.multideg), spans)
 
 
-def brute_force_band_verdict(b: BandSheaf, twist_depth: int = 2) -> str:
+def brute_force_band_verdict(b: BandSheaf) -> str:
     """Band verdict by enumerating twisted interval subsheaves on the cycle.
 
     Takes the multiplicity and periodicity reductions as `_band_verdict`
     states them (they are definitional: both produce equal-slope summands
     or extensions) and searches the core, the first n*q degrees for the
-    period q, literally: every proper interval of its covering cycle,
-    every twist of the restricted degrees below the two mandatory
-    boundary cuts.  Exponential in the interval length, intended for
-    n*r <= 6.
+    period q, literally: every proper interval of its covering cycle, cut
+    once at each end, through `_literal_verdict`.  Cubic in n*q.
     """
     q = b.period
     d = b.multideg[: b.n * q]
     N = len(d)
-    spans = [(i, ell, 1, 1) for i in range(N) for ell in range(1, N)]
-    core = _literal_verdict(d, sum(d), spans, twist_depth)
+    spans = [(i, ell, 2) for i in range(N) for ell in range(1, N)]
+    core = _literal_verdict(d, sum(d), spans)
     return SEMISTABLE if core == STABLE and (b.m > 1 or q < b.r) else core
 
 
 def _literal_verdict(
-    d: tuple[int, ...], chi: int, spans: list[tuple[int, int, int, int]], depth: int
+    d: tuple[int, ...], chi: int, spans: list[tuple[int, int, int]]
 ) -> str:
     """Verdict of a sheaf of Euler characteristic chi over the len(d)
     components with degrees d, from its subsheaves on the given spans.
 
-    Each span (start, length, left cut, right cut) reads d cyclically
-    from start; every degree restricted to it drops by the cuts at its
-    ends (both on the one component of a length-one span) and then by
-    0 to depth further twists, and each resulting line bundle is
-    compared with the whole by cross-multiplication.
+    Each span (start, length, cuts) reads d cyclically from start.  A
+    line bundle there has chi = 1 + the total of its multidegree, which
+    is at most the restricted total less the cuts; that maximal subsheaf
+    and its twists one and two lower are compared with the whole by
+    cross-multiplication.  A lower total ties or exceeds the whole's
+    slope only where the maximal one already exceeds it, so the verdict
+    is that of every sub-multidegree.
     """
     N = len(d)
+    dd = d + d
     saw_equal = False
     saw_over = False
-    for start, ell, left, right in spans:
-        top = [d[(start + t) % N] for t in range(ell)]
-        top[0] -= left
-        top[-1] -= right
-        for sub in product(*(range(x - depth, x + 1) for x in top)):
-            chi_sub = 1 + sum(sub)
+    for start, ell, cuts in spans:
+        top = 1 + sum(dd[start : start + ell]) - cuts
+        for chi_sub in (top, top - 1, top - 2):
             if chi_sub * N > chi * ell:
                 saw_over = True
             elif chi_sub * N == chi * ell:

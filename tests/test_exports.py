@@ -27,7 +27,6 @@ SRC = Path(ngonstab.__file__).parent
 ROOT = SRC.parent.parent
 # Public names that only tests reach, each with the reason it stays.
 UNREACHED = {
-    "exhaustive_chain_verdict": "literal oracle the chain verdict tests compare against",
     "stable_vb_construct": "waits for its caller, the moduli oracle of ROADMAP item 2",
 }
 
@@ -60,12 +59,18 @@ def _uses(path: Path) -> list[tuple[str | None, set[str]]]:
     return out
 
 
+def _callers() -> list[Path]:
+    """The library, the benchmark and the acceptance suite: the files
+    whose calls count as uses of the public API."""
+    bench = (ROOT / "bench").glob("*.py")
+    return [*SRC.glob("*.py"), *bench, ROOT / "tests" / "test_acceptance.py"]
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     """A name in a module's __all__ must be read by the library outside
     its own definition (recursion is no caller), by the benchmark or by
     the acceptance suite."""
-    outside = [*(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
-    uses = {path: _uses(path) for path in [*SRC.glob("*.py"), *outside]}
+    uses = {path: _uses(path) for path in _callers()}
     unreached = set()
     for name in MODULES:
         module = importlib.import_module(name)
@@ -188,11 +193,9 @@ def _signatures():
                 yield label, params, matches
 
 
-def _default_uses() -> dict[str, list[bool]]:
+def _default_uses(files: list[Path]) -> dict[str, list[bool]]:
     """For each defaulted parameter in `_signatures`, whether each call in
-    the library, the benchmark or the tests passes it."""
-    files = [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py")]
-    files += (ROOT / "tests").glob("*.py")
+    the given files passes it."""
     calls = []
     for path in files:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -210,15 +213,19 @@ def _default_uses() -> dict[str, list[bool]]:
 
 def test_every_default_is_overridden_somewhere():
     """A defaulted parameter of a public function, constructor or method
-    must be passed by some call; a setting no caller sets is a constant."""
-    assert sorted(p for p, passes in _default_uses().items() if not any(passes)) == []
+    must be passed by some call outside the tests (the acceptance suite
+    aside); a setting only tests set is a constant."""
+    uses = _default_uses(_callers())
+    assert sorted(p for p, passes in uses.items() if not any(passes)) == []
 
 
 def test_every_default_is_relied_on_somewhere():
     """A defaulted parameter of a public function, constructor or method
     must be left out by some call; a default every caller overrides is a
     required parameter."""
-    assert sorted(p for p, passes in _default_uses().items() if all(passes)) == []
+    files = [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    uses = _default_uses([*files, *(ROOT / "tests").glob("*.py")])
+    assert sorted(p for p, passes in uses.items() if all(passes)) == []
 
 
 def test_a_fresh_import_frees_the_one_before():
