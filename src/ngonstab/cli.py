@@ -3,10 +3,13 @@
 JSON is the single interchange format and the default output: two-space
 indented, ASCII-escaped, keys in the order the payload was built, byte
 for byte what json.dumps(payload, indent=2) prints, from one walk of the
-payload (`_dumps`).  `--format table` renders the same payload as flat
-key/value lines for reading, never for parsing back.  `--oracle`, on the
-four verbs that have a brute-force cross-check, runs it and reports both
-answers; `--box` sets the lattice radius of the `check-compat` oracle.
+payload (`_dumps`).  The one exception is the rigid points of `classify`
+and `rigid`: one orbit, which `_rigid_orbit` writes as one chain and its
+n translates, and which the walk passes on as it is.  `--format table`
+renders the full payload, n chain dicts and all, as flat key/value lines
+for reading, never for parsing back.  `--oracle`, on the four verbs that
+have a brute-force cross-check, runs it and reports both answers;
+`--box` sets the lattice radius of the `check-compat` oracle.
 `--seed` still parses but is not read (ROADMAP item 7).  Input is
 decoded and capped in `schemas`, whose docstring states the exit codes.
 
@@ -56,6 +59,7 @@ from .sheaves import (
     k_class,
     object_charge,
     phase,
+    summand_to_json,
 )
 
 __all__ = ["main", "run"]
@@ -141,12 +145,33 @@ def _cmd_reduce(args):
     return {"class": cls.to_json(), "witness": witness.to_json()}
 
 
-# classify and rigid print n rigid chains of length s
+class _Text(str):
+    """JSON text, already written, that _dumps passes on as it is."""
+
+
+def _rigid_orbit(points) -> _Text:
+    """The JSON text of rigid_points as a top-level payload key holds it.
+
+    The points are one orbit: point j is point 0, which starts at 0,
+    moved on j components (`moduli.enumerate_rigid`).  So point 0 is
+    written once and cut at its start, and the n copies are joined around
+    their starts: O(n + s) joins, not a walk of n*s nodes.
+    """
+    head, _, tail = _dumps(summand_to_json(points[0]), "\n    ").partition('"start": 0')
+    head += '"start": '
+    starts = (tail + ",\n    " + head).join(map(str, range(len(points))))
+    return _Text(f"[\n    {head}{starts}{tail}\n  ]")
+
+
+# classify and rigid print n rigid chains of length s; as JSON, one chain
+# written n times (_rigid_orbit)
 @_verb("classify", "describe the stable moduli at a phase", _LEVEL, _SLOPE)
 def _cmd_classify(args):
     desc = classify(args.n, slope_to_phase(schemas.parse_slope(args.slope)))
     check_cap(args.n * desc.s, schemas.MAX_RIGID_DEGREES, "n*s")
-    return desc.to_json()
+    if args.format == "table":
+        return desc.to_json()
+    return desc._json(_rigid_orbit(desc.rigid_points))
 
 
 @_verb("rigid", "the isolated stable chains at a phase class", _LEVEL, _SLOPE)
@@ -361,7 +386,8 @@ def _dumps(value, indent: str = "\n") -> str:
 
     `indent` is the line break and indentation before value's closing
     bracket.  Dispatch is on exact type: dicts with str keys, lists,
-    tuples, str, int, bool and None; anything else raises TypeError.
+    tuples, str, int, bool and None, and a _Text, written as it is;
+    anything else raises TypeError.
     """
     kind = type(value)
     if kind is str:
@@ -388,6 +414,8 @@ def _dumps(value, indent: str = "\n") -> str:
         return "true"
     if value is False:
         return "false"
+    if kind is _Text:
+        return value
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 

@@ -159,6 +159,11 @@ class ModuliDescription:
         return (self.n, self.representative, self.rigid_points)
 
     def to_json(self) -> dict:
+        return self._json([summand_to_json(c) for c in self.rigid_points])
+
+    def _json(self, rigid_points) -> dict:
+        """to_json's payload around the given rigid_points value, which the
+        command line writes from one chain of the orbit."""
         vb, rigid = self.stable_charges
         return {
             "n": self.n,
@@ -172,7 +177,7 @@ class ModuliDescription:
                 "display": self.positive_component,
             },
             "rigid_count": self.rigid_count,
-            "rigid_points": [summand_to_json(c) for c in self.rigid_points],
+            "rigid_points": rigid_points,
             "stable_charges": {"vector_bundle": list(vb), "rigid": list(rigid)},
             "galois_note": self.galois_note,
             "torsion_class": self.torsion_class,

@@ -198,6 +198,8 @@ def _least_sheet_rotation(seq: tuple[int, ...], n: int) -> tuple[int, ...]:
     start that a smaller rotation already beats.
     """
     r = len(seq) // n
+    if r == 1:
+        return seq
     sheets = [seq[t * n : t * n + n] for t in range(r)] * 2
     i = best = 0
     while i < r:
@@ -291,11 +293,16 @@ class TorsionSheaf:
 
 
 def _moved(pos: SmoothPoint | NodePoint, by: int, n: int) -> SmoothPoint | NodePoint:
-    """The point `by` components on around the n-cycle, index reduced mod n."""
+    """The point `by` components on around the n-cycle, index reduced mod n;
+    pos itself when that leaves its index, an exact int, as it was."""
     if isinstance(pos, SmoothPoint):
-        return SmoothPoint((pos.component + by) % n, pos.label)
+        at = (pos.component + by) % n
+        kept = at == pos.component and type(pos.component) is int
+        return pos if kept else SmoothPoint(at, pos.label)
     if isinstance(pos, NodePoint):
-        return NodePoint((pos.index + by) % n)
+        at = (pos.index + by) % n
+        kept = at == pos.index and type(pos.index) is int
+        return pos if kept else NodePoint(at)
     raise ValueError("position must be a SmoothPoint or a NodePoint")
 
 

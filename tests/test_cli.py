@@ -234,6 +234,18 @@ def test_lift_round_trips_through_files():
     assert [row[:2] for row in payload["matrix"][:1]] == [[1, 1]]
 
 
+def test_json_classify_looks_its_rigid_chains_up_once():
+    # the orbit writer prints the chains enumerate_rigid built and checked,
+    # through one lookup per request, which its cache_info counts
+    enumerate_rigid.cache_clear()
+    assert run(["classify", "12", "--slope=5/6"])[0] == 0
+    info = enumerate_rigid.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+    assert run(["rigid", "12", "--slope=5/6"])[0] == 0
+    info = enumerate_rigid.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_rigid_verb():
     code, text = run(["rigid", "2", "--slope", "inf"])
     assert code == 0

@@ -4,6 +4,8 @@
 The property tests draw payloads of every type a payload may hold, and
 the end-to-end tests run every golden command and every fixture through
 each verb that reads it, so a verb added later is covered as well.
+`classify` and `rigid` write their rigid points from one chain of the
+orbit; json.dumps of the payload the table path builds is their oracle.
 """
 
 from __future__ import annotations
@@ -11,12 +13,14 @@ from __future__ import annotations
 import enum
 import json
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ngonstab.cli import _VERBS, _dumps, run
+from ngonstab.cli import _VERBS, _dumps, _read, run
+from ngonstab.gamma0 import enumerate_cusp_classes
 from test_cli import GOLDEN_CASES
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -115,3 +119,39 @@ def test_every_fixture_through_each_verb_that_reads_it(name):
                 read += 1
                 assert text == json.dumps(json.loads(text), indent=2) + "\n", argv
     assert read or name == "broken.json"
+
+
+def assert_rigid_orbit_as_json_prints_it(argv):
+    # --format table builds the full payload, n chain dicts and all
+    args = _read([*argv, "--format", "table"])
+    assert run(argv) == (0, json.dumps(args.func(args), indent=2) + "\n"), argv
+
+
+def test_every_class_at_levels_up_to_60_prints_its_rigid_orbit():
+    for n in range(1, 61):
+        for cls in enumerate_cusp_classes(n):
+            for verb in ("classify", "rigid"):
+                assert_rigid_orbit_as_json_prints_it([verb, str(n), f"--slope={cls.a}/{cls.c}"])
+
+
+def test_seeded_slopes_print_their_rigid_orbit():
+    rng = random.Random(30)
+    for _ in range(2000):
+        n, p, q = rng.randint(1, 60), rng.randint(-40, 40), rng.randint(1, 40)
+        verb = rng.choice(("classify", "rigid"))
+        assert_rigid_orbit_as_json_prints_it([verb, str(n), f"--slope={p}/{q}"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # n*s = 99,856, just under MAX_RIGID_DEGREES, and n at MAX_N
+        ["classify", "316", "--slope=1/316"],
+        ["classify", "10000", "--slope=1/2"],
+        # one point, one component
+        ["rigid", "1", "--slope=40/1"],
+    ],
+    ids=str,
+)
+def test_rigid_orbit_at_the_caps(argv):
+    assert_rigid_orbit_as_json_prints_it(argv)
