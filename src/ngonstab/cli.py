@@ -400,14 +400,15 @@ def _dumps(value, indent: str = "\n") -> str:
         inner = indent + "  "
         # _escape raises TypeError on a key that is not a str
         items = [_escape(key) + ": " + _dumps(val, inner) for key, val in value.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
+        # one f-string builds the text in one allocation; + would copy it thrice
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
     if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = indent + "  "
         # most items are ints: written here, without a call
         items = [int.__repr__(x) if type(x) is int else _dumps(x, inner) for x in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
     if value is None:
         return "null"
     if value is True:

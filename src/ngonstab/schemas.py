@@ -67,11 +67,13 @@ MAX_K_N = 200
 # whose level matrix has an entry of 76 digits or more.
 MAX_DET_WORK = 10_000_000
 # One box oracle call visits (2 * box + 1)^2 lattice points, about 160k
-# at the cap.
+# at the cap.  check-compat --oracle --box 200 takes about 55-85 ms in a
+# fresh process, 20-30 ms of it building the box in phase order.
 MAX_BOX = 200
 # classify and rigid print n chains of s degrees each; n*s at the cap is
-# 1.13 MB of JSON, which takes about 23 ms to serialize (classify 316
-# --slope=1/316, Python 3.11 on a 2-CPU x86-64 machine).
+# 1.13 MB of JSON, which takes about 3 ms to print as JSON and about
+# 23 ms as a table (classify 316 --slope=1/316 through cli.run, locus
+# cached, Python 3.11 on a 2-CPU x86-64 machine).
 MAX_RIGID_DEGREES = 100_000
 # The cusp partition oracle of phase-classes --oracle takes about 0.5 s
 # at this level (Python 3.11 on a 2-CPU x86-64 machine).

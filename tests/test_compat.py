@@ -4,6 +4,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,7 +43,7 @@ from ngonstab.compat import (
     _sorted_primitive_box,
 )
 from ngonstab.gamma0 import Mat2, in_gamma0
-from ngonstab.schemas import MAX_K_N, SchemaError, kauto_from_json
+from ngonstab.schemas import MAX_BOX, MAX_K_N, SchemaError, kauto_from_json
 
 ROT = Mat2(0, -1, 1, 0)
 
@@ -530,6 +531,34 @@ def test_cyclic_oracle_matches_its_definition_at_workload_radii():
         assert order_preserved_brute_force(m, 2, box) == expected, (m, box)
         verdicts.append(expected)
     assert True in verdicts and False in verdicts
+
+
+def _box_by_definition(box):
+    """The primitive vectors of [-box, box]^2 sorted by the library's key."""
+    pts = [
+        (x, y)
+        for x in range(-box, box + 1)
+        for y in range(-box, box + 1)
+        if gcd(x, y) == 1
+    ]
+    pts.sort(key=phase_sort_key)
+    return tuple(pts)
+
+
+def test_sorted_box_matches_its_definition():
+    for box in range(-1, 61):
+        assert _sorted_primitive_box(box) == _box_by_definition(box), box
+
+
+def test_sorted_box_at_the_cap_is_every_primitive_vector_by_phase():
+    pts = _sorted_primitive_box(MAX_BOX)
+    r = range(-MAX_BOX, MAX_BOX + 1)
+    assert len(pts) == sum(gcd(x, y) == 1 for x in r for y in r)
+    assert all(abs(x) <= MAX_BOX >= abs(y) and gcd(x, y) == 1 for x, y in pts)
+    assert all(phase_cmp(u, v) < 0 for u, v in zip(pts, pts[1:]))
+    half = len(pts) // 2
+    assert all(map(in_h_prime, pts[:half]))
+    assert not any(map(in_h_prime, pts[half:]))
 
 
 def test_first_half_of_the_sorted_box_is_h_prime():

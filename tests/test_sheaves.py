@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ngonstab import sheaves
 from ngonstab.charges import KClass, PhasePoint, charge, phase_of_charge
+from ngonstab.cli import run
 from ngonstab.schemas import SchemaError, object_from_json, parse_label
 from ngonstab.sheaves import (
     SEMISTABLE,
@@ -195,6 +197,29 @@ def test_sheaf_object_canonical_order():
         SheafObject(())
     with pytest.raises(ValueError):
         SheafObject((c, ChainSheaf(3, 1, 0, (0,))))
+
+
+def test_bands_equal_but_for_the_label_sort_by_its_text(tmp_path):
+    # the label's text breaks the tie; its stored powers tuple would give
+    # 1, a^-2, a^-1, a, a*b^-1, a^2
+    labels = [ONE, A, A**-1, A**2, A**-2, A * B**-1]
+    expected = ["1", "a", "a*b^-1", "a^-1", "a^-2", "a^2"]
+    rng = random.Random(6)
+    for _ in range(5):
+        rng.shuffle(labels)
+        obj = SheafObject(tuple(BandSheaf(2, 1, (1, 0), lam, 1) for lam in labels))
+        assert [str(s.lam) for s in obj.summands] == expected
+    # semistable reads the file into that order and reports row i for
+    # summand i; its rows carry no label, and these bands judge alike
+    path = tmp_path / "bands.json"
+    path.write_text(json.dumps(
+        {"n": 2, "summands": [summand_to_json(s) for s in reversed(obj.summands)]}
+    ))
+    assert [str(s.lam) for s in object_from_json(json.loads(path.read_text())).summands] == expected
+    code, text = run(["semistable", str(path)])
+    assert code == 0
+    row = {"verdict": is_semistable(obj.summands[0]), "phase": phase(obj.summands[0]).to_json()}
+    assert json.loads(text)["verdicts"] == [{"index": i, **row} for i in range(6)]
 
 
 def test_sheaf_object_refuses_a_non_summand_first():
