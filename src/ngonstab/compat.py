@@ -36,6 +36,7 @@ the K-maps between levels that sum over, or fold, the sheets of the cover.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from operator import mul
 
 from .charges import (
@@ -411,31 +412,22 @@ def _sorted_primitive_box(box: int) -> tuple[ChargeVec, ...]:
     return tuple(upper + [(-x, -y) for x, y in upper])
 
 
-def _box_members(M: Mat2, n: int, box: int) -> list[ChargeVec]:
-    """Primitive box vectors of the effective-comparable set, by phase.
+def _last_member(M: Mat2, pts: tuple[ChargeVec, ...], half: int) -> ChargeVec:
+    """Last member, by phase, of the sorted box pts (half = len(pts) // 2).
 
-    The effective cone is modeled as every nonzero lattice vector (each
-    charge value in H' or -H' is realized by a semistable object).  v is
-    a member when its charge lies in H', or when the image of -v under
-    the plane action M does (the comparable half).  There is no det +1
-    gate, so the oracles can also exhibit violations for reflections.
-
-    v -> -v pairs the primitive box vectors in H' with the rest, and H'
-    holds the phases (0, 1], so the first half of the box, in phase order,
-    is exactly its H' vectors.  That half is taken whole; only the
-    second half is filtered.
+    Every nonzero lattice vector is effective, so v is a member when v or
+    -Mv lies in H' (no det +1 gate: the oracles also exhibit violations
+    for reflections).  v -> -v pairs H' (phases (0, 1]) with the rest, so
+    the first half of the box is its H' vectors, all members.  The scan
+    runs back from the end to the first member, else pts[half - 1].
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    pts = _sorted_primitive_box(box)
-    half = len(pts) // 2
     a, b, c, d = M.a, M.b, M.c, M.d
-    # -Mv lies in H' iff Mv lies in -H'
-    return list(pts[:half]) + [
-        v
-        for v in pts[half:]
-        if (im := c * v[0] + d * v[1]) < 0 or (im == 0 and a * v[0] + b * v[1] > 0)
-    ]
+    for v in islice(reversed(pts), len(pts) - half):
+        x, y = v
+        # -Mv lies in H' iff Mv lies in -H'
+        if (im := c * x + d * y) < 0 or (im == 0 and a * x + b * y > 0):
+            return v
+    return pts[half - 1]
 
 
 def order_preserved_brute_force(M: Mat2, n: int, box: int) -> bool:
@@ -448,24 +440,28 @@ def order_preserved_brute_force(M: Mat2, n: int, box: int) -> bool:
     reversing map reverses the walk and produces descents at almost
     every step.  Like check_order, it accepts M and -M alike.
 
-    Each member's image is computed inside the walk, starting from the
-    image of the last member, and compared with the one before by the
-    walk's own rule, not the library's phase comparison: an image in H'
-    (phases (0, 1]) comes before one outside it, and two images on the
-    same side, which span less than a half turn, are ordered by the sign
-    of their cross product, 0 meaning one ray.
+    The walk reads the box once, in place, from the image of the last
+    member: the H' half, then the second half, skipping each v whose
+    image Mv (nonzero) lies in H'.  Images are ordered by the walk's own
+    rule, not the library's phase comparison: one in H' comes before one
+    outside it, two on one side (less than a half turn apart) by the sign
+    of their cross product, 0 meaning one ray.  For box >= 1 the H' half
+    alone holds 4 or more members; only the empty box has fewer than 3.
     """
     if M.det not in (1, -1):
         raise ValueError("order check expects an invertible integer matrix")
-    members = _box_members(M, n, box)
-    if len(members) <= 2:
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    pts = _sorted_primitive_box(box)
+    half = len(pts) // 2
+    if not half:
         return True
     a, b, c, d = M.a, M.b, M.c, M.d
     descents = 0
-    x, y = members[-1]
+    x, y = _last_member(M, pts, half)
     px, py = a * x + b * y, c * x + d * y
     p_up = py > 0 or (py == 0 and px < 0)
-    for x, y in members:
+    for x, y in islice(pts, half):
         x, y = a * x + b * y, c * x + d * y
         up = y > 0 or (y == 0 and x < 0)
         if up == p_up:
@@ -480,18 +476,29 @@ def order_preserved_brute_force(M: Mat2, n: int, box: int) -> bool:
             if descents > 1:
                 return False
         px, py, p_up = x, y, up
+    for x, y in islice(pts, half, None):
+        im = c * x + d * y
+        if im > 0 or (im == 0 and a * x + b * y < 0):
+            continue  # the image is in H': not a member
+        x, y = a * x + b * y, im
+        if not p_up:  # a member after an image in H' never descends
+            cross = px * y - py * x
+            if cross == 0:
+                return False
+            if cross < 0:
+                descents += 1
+                if descents > 1:
+                    return False
+        px, py, p_up = x, y, False
     return True
 
 
 def box_sup_phase(M: Mat2, n: int, box: int) -> tuple[PhasePoint, ChargeVec]:
     """Largest phase attained by a primitive box member, with a witness.
 
-    A lower bound for the true sup m + 1; compute_m's case analysis says
-    the sup is attained at a lattice direction, so large enough boxes
-    reach it exactly.  The box is sorted by phase with no ties, so the
-    scan runs from its end under _box_members' rule and the first member
-    it meets is the witness; when the second half holds none, the last
-    H' vector pts[half - 1] is.
+    A lower bound for the true sup m + 1, which compute_m's case analysis
+    shows a lattice direction attains, so large enough boxes reach it
+    exactly; the witness is the box's last member (_last_member).
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -499,11 +506,5 @@ def box_sup_phase(M: Mat2, n: int, box: int) -> tuple[PhasePoint, ChargeVec]:
     half = len(pts) // 2
     if not half:
         raise ValueError("no members in the box")
-    a, b, c, d = M.a, M.b, M.c, M.d
-    witness = pts[half - 1]
-    for i in range(len(pts) - 1, half - 1, -1):
-        x, y = pts[i]
-        if (im := c * x + d * y) < 0 or (im == 0 and a * x + b * y > 0):
-            witness = pts[i]
-            break
+    witness = _last_member(M, pts, half)
     return phase_of_charge(witness), witness

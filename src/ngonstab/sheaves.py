@@ -702,11 +702,11 @@ def _literal_verdict(
 
     Each span (start, length, cuts) reads d cyclically from start.  A
     line bundle there has chi = 1 + the total of its multidegree, which
-    is at most the restricted total less the cuts; that maximal subsheaf
-    and its twists one and two lower are compared with the whole by
-    cross-multiplication.  A lower total ties or exceeds the whole's
-    slope only where the maximal one already exceeds it, so the verdict
-    is that of every sub-multidegree.
+    is at most the restricted total less the cuts, and only that maximal
+    subsheaf is compared with the whole, by cross-multiplication.  That
+    is the verdict of every sub-multidegree: a lower total t <= top - 1
+    with t * N >= chi * ell gives top * N >= chi * ell + N > chi * ell,
+    so it ties or exceeds only where the maximal one already exceeds.
     """
     N = len(d)
     dd = d + d
@@ -714,11 +714,10 @@ def _literal_verdict(
     saw_over = False
     for start, ell, cuts in spans:
         top = 1 + sum(dd[start : start + ell]) - cuts
-        for chi_sub in (top, top - 1, top - 2):
-            if chi_sub * N > chi * ell:
-                saw_over = True
-            elif chi_sub * N == chi * ell:
-                saw_equal = True
+        if top * N > chi * ell:
+            saw_over = True
+        elif top * N == chi * ell:
+            saw_equal = True
     if saw_over:
         return UNSTABLE
     return SEMISTABLE if saw_equal else STABLE

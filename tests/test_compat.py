@@ -35,7 +35,6 @@ from ngonstab.compat import (
     lift_k_matrix,
     order_preserved_brute_force,
     shift_square_kauto,
-    _box_members,
     _mat_det,
     _mat_identity,
     _mat_inverse,
@@ -501,6 +500,14 @@ UNIMODULAR = [
 ]
 
 
+def _box_members(m, n, box):
+    """The primitive box vectors v, in phase order, with v or -mv in H'."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    pts = _sorted_primitive_box(box)
+    return [v for v in pts if in_h_prime(v) or in_h_prime(m.matvec((-v[0], -v[1])))]
+
+
 def _order_preserved_by_definition(m, n, box):
     # order is preserved when the images, in member order, are a rotation
     # of their phase-sorted order with no two on one ray
@@ -531,6 +538,15 @@ def test_cyclic_oracle_matches_its_definition_at_workload_radii():
         assert order_preserved_brute_force(m, 2, box) == expected, (m, box)
         verdicts.append(expected)
     assert True in verdicts and False in verdicts
+
+
+def test_cyclic_oracle_matches_its_definition_at_the_cap():
+    lift = lift_k_matrix(12, Mat2(5, 2, 12, 5))
+    descended = conjugate_by_D(check_compatibility(lift).descended)
+    cases = [ROT, -Mat2.identity(), Mat2(0, 1, 1, 0), descended, Mat2(2, 1, 1, 0)]
+    verdicts = [order_preserved_brute_force(m, 2, MAX_BOX) for m in cases]
+    assert verdicts == [_order_preserved_by_definition(m, 2, MAX_BOX) for m in cases]
+    assert verdicts == [True, True, False, True, False]
 
 
 def _box_by_definition(box):
@@ -604,14 +620,12 @@ def _traced_peak(f, *args):
 
 @pytest.mark.parametrize("m", [Mat2.identity(), Mat2(2, 1, 1, 1), Mat2(0, 1, 1, 0)])
 def test_box_oracles_build_no_per_member_objects(m):
-    # At box 50 (6,192 vectors) the walk holds only its member list, about
-    # 16 bytes per box vector at the peak (100.6 KB for the identity), and
-    # box_sup_phase under 0.5 KB.  The bounds allow 1.5x and 8x that; one
-    # image tuple per member would add over 60 bytes per member, and a
-    # member list in box_sup_phase over 50 KB.
-    size = len(_sorted_primitive_box(50))
+    # At box 50 (6,192 vectors) neither oracle holds a member list: each
+    # reads the cached box in place and peaks under 0.5 KB.  The bound
+    # allows 8x that; a member list would add at least 24 KB, and one
+    # image tuple per member over 60 bytes each.
     order_preserved_brute_force(m, 2, 50)
-    assert _traced_peak(order_preserved_brute_force, m, 2, 50) <= 24 * size
+    assert _traced_peak(order_preserved_brute_force, m, 2, 50) <= 4096
     assert _traced_peak(box_sup_phase, m, 2, 50) <= 4096
 
 
