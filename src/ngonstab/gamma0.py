@@ -8,17 +8,16 @@ shows the two cusps are equivalent exactly when that residue matches,
 which is where the invariant comes from; the count over all classes is
 then sum over divisors c | N of phi(gcd(c, N/c)).
 
-Besides the closed form, this module carries one deliberately dumb
-cross-check: a union-find orbit partition of bounded-denominator slopes
-under a batch of individually verified level-N matrices (every union it
-makes is a real group element, so it can only ever be too fine, never
-too coarse).  The test suite holds the closed form to it, and checks
+Besides the closed form, this module carries one independent oracle:
+the cusps as the orbits of the translation T on P^1(Z/NZ), one
+union-find pass over its points (brute_force_cusp_partition, whose
+docstring proves it).  It is exact at every level and reads nothing of
+the closed form.  The test suite holds the closed form to it, and checks
 every witness by applying it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from math import gcd
 
 from .charges import Slope, value_class
@@ -256,15 +255,15 @@ def enumerate_cusp_classes(N: int) -> tuple[CuspClass, ...]:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles
+# brute-force oracle
 
 
 class _UnionFind:
-    """Disjoint sets over the node ids of `ids`, which numbers each key once."""
+    """Disjoint sets over the nodes 0 .. size - 1; `ids` maps each key to its node."""
 
-    def __init__(self, ids: dict) -> None:
+    def __init__(self, ids: dict, size: int) -> None:
         self.ids = ids
-        self.parent = list(range(len(ids)))
+        self.parent = list(range(size))
 
     def find(self, key) -> int:
         parent = self.parent
@@ -274,112 +273,59 @@ class _UnionFind:
         return x
 
 
-def _gamma0_edge_table(N: int) -> list[tuple[int, list[int], list[tuple[int, int]]]]:
-    """Verified level-N matrices for oracle edges, as (c, ds, rows) by c.
-
-    For each c in {N, 2N, ..., 10N} and each d in 1..2N+1 coprime to c,
-    the matrix [[a, b], [c, d]] with a the least positive inverse of d
-    mod c and b forced by the determinant is a genuine member: ad - bc = 1
-    and N | c are checked on the integers.
-    Words in T and [[1,0],[N,1]] alone are congruent to +-[[1,*],[0,1]]
-    mod N and stay inside an infinite-index subgroup once N > 4, which
-    is why this richer batch is needed for the orbit closure to converge
-    (level 150 needs lower-left entries up to 10N, level 90 up to 9N).
-    Small d matters: the image denominator is c*p + d*q, so only small-d
-    members act within a bounded denominator universe.
-    """
-    table = []
-    for c in range(N, 10 * N + 1, N):
-        ds: list[int] = []
-        rows: list[tuple[int, int]] = []
-        for d in range(1, 2 * N + 2):
-            if gcd(d, c) != 1:
-                continue
-            a = pow(d, -1, c)
-            b = (a * d - 1) // c
-            if a * d - b * c != 1 or c % N != 0:
-                raise AssertionError(f"[[{a}, {b}], [{c}, {d}]] is not in level {N}")
-            ds.append(d)
-            rows.append((a, b))
-        table.append((c, ds, rows))
-    return table
-
-
 def brute_force_cusp_partition(N: int) -> _UnionFind:
-    """Orbit partition of bounded-denominator slopes under verified elements.
+    """Cusp classes at level N as the orbits of T on P^1(Z/NZ).
 
-    Nodes are T-classes (q, p0 = p mod q) with q <= 2N plus one node for
-    the infinite slope, numbered once.  Each node's representatives
-    p0 - q, p0, p0 + q are pushed through every matrix from
-    _gamma0_edge_table whose image denominator c*p + d*q stays within
-    +-2N (a bisect window on d), and the image node is merged in.  The
-    batch is walked in ascending c, and two rules stop it once every
-    later window is provably empty:
+    A point of P^1(Z/NZ) is a pair (c, d) mod N with gcd(c, d, N) = 1,
+    taken up to a unit factor u mod N; it is numbered by its least pair
+    (u*c mod N, u*d mod N), and `ids` maps every one of its pairs to
+    that node.  One union-find pass joins each point (c : d) to
+    (c : c + d).  The classes are exactly the cusps, by standard facts:
 
-    - p > 0: every image denominator is at least c*p + q, which grows
-      with c, so stop once c*p + q > 2N;
-    - p < 0: the least admissible d is ceil((-2N - c*p)/q), which grows
-      with c, so stop once it passes 2N + 1, the largest d of the whole
-      batch (not of the current c, whose largest d can be smaller).
+    - SL(2, Z) acts transitively on P^1(Q): a reduced a/c is g(inf) for
+      g = [[a, b], [c, d]] with ad - bc = 1.  The stabiliser of inf is
+      +-[[1, k], [0, 1]].  So g -> g(inf) maps the double cosets
+      Gamma_0(N) g <+-T> one to one onto the cusps.
+    - Gamma_0(N) g = Gamma_0(N) g' exactly when the bottom rows (c, d)
+      and (c', d') are one point of P^1(Z/NZ): the lower-left entry of
+      g' g^-1 is c'd - d'c, and for pairs with gcd(c, d, N) = 1,
+      c'd = d'c (mod N) holds exactly when (c', d') = u (c, d) (mod N)
+      for a unit u.  Every point is a bottom row, because reduction
+      SL(2, Z) -> SL(2, Z/NZ) is onto.  So the cosets are the points.
+    - Right multiplication by [[1, k], [0, 1]] sends the bottom row
+      (c, d) to (c, kc + d), and by -1 to (-c, -d), the same point.
 
-    Every merge applies a matrix individually verified to lie in the
-    level-N group, so the partition can only be too fine, never too
-    coarse; the test suite settles convergence by comparing class counts
-    against the divisor-sum formula.
+    So the cusps are the orbits of (c : d) -> (c : c + d).  This is
+    exact at every level, and reads nothing of the closed form.
     """
     if N < 1:
         raise ValueError("level must be a positive integer")
-    bound = 2 * N
-    top = bound + 1
-    ids = {("inf",): 0}
-    for q in range(1, bound + 1):
-        for p0 in range(q):
-            if gcd(p0, q) == 1:
-                ids[q, p0] = len(ids)
-    uf = _UnionFind(ids)
-    parent = uf.parent
-    table = _gamma0_edge_table(N)
-    for (q, p0), x in list(ids.items())[1:]:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        for p in (p0 - q, p0, p0 + q):
-            for c, ds, rows in table:
-                cp = c * p
-                if cp >= -bound:
-                    if cp + q > bound:
-                        break
-                    d_lo = 1
-                else:
-                    d_lo = -((bound + cp) // q)
-                    if d_lo > top:
-                        break
-                for i in range(bisect_left(ds, d_lo), bisect_right(ds, (bound - cp) // q)):
-                    den = cp + ds[i] * q
-                    if den:
-                        a, b = rows[i]
-                        num = a * p + b * q
-                        if den < 0:
-                            num, den = -num, -den
-                        y = ids[den, num % den]
-                    else:
-                        y = 0
-                    while parent[y] != y:
-                        parent[y] = y = parent[parent[y]]
-                    if y != x:
-                        parent[x] = x = y  # x stays its node's root
-    # the infinite slope 1/0 maps to a/c under [[a, b], [c, d]]
-    for c, _, rows in table:
-        if c <= bound:
-            for a, _ in rows:
-                parent[uf.find(("inf",))] = uf.find((c, a))
+    units = [u for u in range(N) if gcd(u, N) == 1]
+    ids: dict[tuple[int, int], int] = {}
+    points = []
+    for c in range(N):
+        for d in range(N):
+            # the scan is lexicographic, so the first pair met of a point is its least
+            if (c, d) not in ids and gcd(c, d, N) == 1:
+                for u in units:
+                    ids[u * c % N, u * d % N] = len(points)
+                points.append((c, d))
+    uf = _UnionFind(ids, len(points))
+    for c, d in points:
+        uf.parent[uf.find((c, d))] = uf.find((c, (c + d) % N))
     return uf
 
 
 def restrict_partition_to_small_slopes(N: int, uf: _UnionFind) -> dict[Slope, int]:
-    """Map each reduced slope a/c (0 <= a < c <= N) plus infinity to its root."""
-    out: dict[Slope, int] = {Slope.infinity(): uf.find(("inf",))}
+    """Map each reduced slope a/c (0 <= a < c <= N) plus infinity to its root.
+
+    a/c is g(inf) for g = [[a, b], [c, d]] of determinant 1, so its point
+    is (c : d) with a*d = 1 (mod c); infinity is g(inf) for g = 1, the
+    point (0 : 1).
+    """
+    out: dict[Slope, int] = {Slope.infinity(): uf.find((0, 1 % N))}
     for c in range(1, N + 1):
         for a in range(c):
             if gcd(a, c) == 1:
-                out[Slope(a, c)] = uf.find((c, a))
+                out[Slope(a, c)] = uf.find((c % N, pow(a, -1, c) % N))
     return out

@@ -75,8 +75,9 @@ MAX_BOX = 200
 # 23 ms as a table (classify 316 --slope=1/316 through cli.run, locus
 # cached, Python 3.11 on a 2-CPU x86-64 machine).
 MAX_RIGID_DEGREES = 100_000
-# The cusp partition oracle of phase-classes --oracle takes about 0.5 s
-# at this level (Python 3.11 on a 2-CPU x86-64 machine).
+# phase-classes --oracle takes about 20 ms at this level, almost all of it
+# the cusp partition oracle (median of 10 runs through cli.run, Python
+# 3.11 on a 2-CPU x86-64 machine).
 MAX_ORACLE_LEVEL = 150
 # semistable --oracle reports null above these: the chain oracle is cubic
 # in the chain length k (about 5 ms at the cap), the band oracle cubic in

@@ -196,6 +196,76 @@ def test_check_compat_oracle_agrees_on_a_compatible_matrix(tmp_path):
     assert oracle == {"shortcut": True, "cyclic_box_search": True}
 
 
+_LIFT_REPORT = {
+    "kernel_preserved": True,
+    "descended": [[5, 2], [12, 5]],
+    "det_plus_one": True,
+    "order_preserved": True,
+    "m_value": {"two_shift": 0, "dir": [-1, 0]},
+    "verdict": "Compatible-by-criterion",
+    "order_oracle": {"shortcut": True, "cyclic_box_search": True},
+}
+_LIFT_TABLE = """\
+kernel_preserved: True
+descended[0]: 5 2
+descended[1]: 12 5
+det_plus_one: True
+order_preserved: True
+m_value.two_shift: 0
+m_value.dir: -1 0
+verdict: Compatible-by-criterion
+order_oracle.shortcut: True
+order_oracle.cyclic_box_search: True
+"""
+
+
+def _no_descent(kernel_preserved, verdict):
+    report = {"kernel_preserved": kernel_preserved, "descended": None,
+              "det_plus_one": False, "order_preserved": False, "m_value": None,
+              "verdict": verdict}
+    table = (f"kernel_preserved: {kernel_preserved}\ndescended: None\n"
+             f"det_plus_one: False\norder_preserved: False\nm_value: None\n"
+             f"verdict: {verdict}\n")
+    return report, table
+
+
+_M = [[5, 2], [12, 5]]
+CHECK_COMPAT_BYTES = [
+    pytest.param(_M, {}, (_LIFT_REPORT, _LIFT_TABLE), id="Compatible"),
+    pytest.param([[-5, -2], [-12, -5]], {}, (
+        {**_LIFT_REPORT, "descended": [[-5, -2], [-12, -5]],
+         "m_value": {"two_shift": 0, "dir": [5, 12]}},
+        _LIFT_TABLE.replace("[0]: 5 2", "[0]: -5 -2").replace("[1]: 12 5", "[1]: -12 -5")
+                   .replace("dir: -1 0", "dir: 5 12"),
+    ), id="Compatible-negated"),
+    pytest.param(_M, {"n": 2, "matrix": [[1, 0, 0], [0, -1, 0], [0, 0, -1]]},
+                 _no_descent(True, "FailsOrientation"), id="FailsOrientation"),
+    pytest.param(_M, {"n": 2, "matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 1]]},
+                 _no_descent(False, "FailsKernel"), id="FailsKernel"),
+    pytest.param(_M, {"amplitude_M": None}, (
+        {**_LIFT_REPORT, "m_value": None, "verdict": "MissingAmplitude"},
+        _LIFT_TABLE.replace("m_value.two_shift: 0\nm_value.dir: -1 0\n", "m_value: None\n")
+                   .replace("Compatible-by-criterion", "MissingAmplitude"),
+    ), id="MissingAmplitude"),
+]
+
+
+@pytest.mark.parametrize("matrix,doc,expected", CHECK_COMPAT_BYTES)
+def test_check_compat_oracle_bytes_per_verdict(matrix, doc, expected, tmp_path):
+    """One K-matrix file per verdict, JSON and table, byte for byte.  Each
+    file is the level-12 lift of `matrix` as `lift` prints it, with the
+    keys of `doc` replaced."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix))
+    code, text = run(["lift", "12", str(path)])
+    assert code == 0
+    path.write_text(json.dumps({**json.loads(text), **doc}))
+    report, table = expected
+    argv = ["check-compat", str(path), "--oracle"]
+    assert run(argv) == (0, json.dumps(report, indent=2) + "\n")
+    assert run([*argv, "--format", "table"]) == (0, table)
+
+
 def test_semistable_with_oracle():
     code, text = run(["semistable", data("chain_plus_point.json"), "--oracle"])
     assert code == 0

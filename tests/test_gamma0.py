@@ -1,8 +1,9 @@
 from __future__ import annotations
 
+import ast
 import itertools
+import pathlib
 import random
-from bisect import bisect_left, bisect_right
 from math import gcd
 
 import pytest
@@ -22,7 +23,6 @@ from ngonstab.gamma0 import (
     in_gamma0,
     restrict_partition_to_small_slopes,
     _complete,
-    _euler_phi,
 )
 from ngonstab.schemas import SchemaError, mat2_from_json
 
@@ -235,88 +235,86 @@ def test_partition_matches_pairwise_equivalence():
                 assert same_orbit == cusp_equivalent(N, s1, s2), (N, s1, s2)
 
 
+def _p1_size(N):
+    """N times the product of 1 + 1/p over the primes p dividing N."""
+    size, m, p = N, N, 2
+    while m > 1:
+        if m % p == 0:
+            size = size // p * (p + 1)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return size
 
-def _batch(N):
-    """The oracle's batch as (c, d) pairs: c = N..10N, d = 1..2N+1 coprime."""
-    return [
-        (c, d)
-        for c in range(N, 10 * N + 1, N)
-        for d in range(1, 2 * N + 2)
-        if gcd(c, d) == 1
-    ]
+
+def test_partition_has_one_node_per_point_of_p1():
+    assert [_p1_size(N) for N in (1, 2, 4, 6, 12)] == [1, 3, 6, 12, 24]
+    for N in range(1, 61):
+        assert len(brute_force_cusp_partition(N).parent) == _p1_size(N), N
 
 
-def _reference_partition(N, pairs):
-    """The oracle's search written out literally: tuple node keys, a dict
-    union-find, and every bisect window of the matrices [[a, b], [c, d]]
-    named by `pairs` (each checked by in_gamma0) with no early stop.
-    Returns the classes as a set of frozensets of node keys."""
-    bound = 2 * N
-    table = {}
-    for c, d in sorted(pairs):
-        a = pow(d, -1, c)
+def _p1_point(N, s):
+    """The point of P^1(Z/NZ) of a slope p/q: the bottom row (q, d) of a
+    determinant-one [[p, b], [q, d]], reduced mod N and taken as the
+    least of its unit multiples."""
+    q, d = (0, 1) if s.is_infinite else (s.den, pow(s.num, -1, s.den))
+    units = [u for u in range(1, N + 1) if gcd(u, N) == 1]
+    return min((u * q % N, u * d % N) for u in units)
+
+
+def _random_gamma0(rng, N):
+    while True:
+        c, d = N * rng.randint(-12, 12), rng.randint(-60, 60)
+        if gcd(c, d) == 1:
+            break
+    if c == 0:
+        M = Mat2(d, rng.randint(-9, 9), 0, d)
+    else:
+        a = pow(d, -1, abs(c))
         M = Mat2(a, (a * d - 1) // c, c, d)
-        assert in_gamma0(M, N)
-        ds, mats = table.setdefault(c, ([], []))
-        ds.append(d)
-        mats.append(M)
-    nodes = [(q, p0) for q in range(1, bound + 1) for p0 in range(q) if gcd(p0, q) == 1]
-    parent = {x: x for x in [("inf",), *nodes]}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for q, p0 in nodes:
-        for p in (p0 - q, p0, p0 + q):
-            for c, (ds, mats) in table.items():
-                cp = c * p
-                d_lo = 1 if cp >= -bound else -((bound + cp) // q)
-                d_hi = (bound - cp) // q
-                for M in mats[bisect_left(ds, d_lo):bisect_right(ds, d_hi)]:
-                    num, den = M.a * p + M.b * q, M.c * p + M.d * q
-                    if den < 0:
-                        num, den = -num, -den
-                    image = (den, num % den) if den else ("inf",)
-                    parent[find((q, p0))] = find(image)
-    for c, (_, mats) in table.items():
-        if c <= bound:
-            for M in mats:
-                parent[find(("inf",))] = find((c, M.a % c))
-    return _classes(parent, find)
+    M = Mat2.translation(rng.randint(-9, 9)) @ M
+    assert in_gamma0(M, N), (M, N)
+    return M
 
 
-def _classes(keys, find):
-    classes = {}
-    for x in keys:
-        classes.setdefault(find(x), set()).add(x)
-    return {frozenset(v) for v in classes.values()}
-
-
-def test_partition_equals_the_literal_search_on_every_node():
-    for N in range(1, 31):
+def test_partition_never_splits_an_orbit():
+    """s and g(s) share a class for g in Gamma_0(N): the oracle is never
+    finer than the orbits.  The closed-form and pairwise tests above
+    show it is never coarser.  The restriction names each small slope's
+    point."""
+    rng = random.Random(33)
+    for N in [*range(1, 31), 36, 49, 60, 90, 150]:
         uf = brute_force_cusp_partition(N)
-        assert len(uf.parent) == 1 + sum(_euler_phi(q) for q in range(1, 2 * N + 1))
-        assert _classes(uf.ids, uf.find) == _reference_partition(N, _batch(N)), N
+        for s, root in restrict_partition_to_small_slopes(N, uf).items():
+            assert root == uf.find(_p1_point(N, s)), (N, s)
+        for _ in range(40):
+            M = _random_gamma0(rng, N)
+            s = Slope.of(rng.randint(-50, 50), rng.randint(0, 50) or 1)
+            for x in (s, Slope.infinity()):
+                image = M.moebius(x)
+                assert uf.find(_p1_point(N, x)) == uf.find(_p1_point(N, image)), (N, M, x)
 
 
-def test_partition_equals_the_literal_search_on_small_batches(monkeypatch):
-    """With one to three matrices most edges are needed, so an early stop
-    that skips a non-empty window shows as a finer partition."""
-    rng = random.Random(19)
-    for N in range(1, 13):
-        for k in [1, 2, 3] * 13:
-            pairs = sorted(rng.sample(_batch(N), k))
-            table = {}
-            for c, d in pairs:
-                a = pow(d, -1, c)
-                ds, rows = table.setdefault(c, ([], []))
-                ds.append(d)
-                rows.append((a, (a * d - 1) // c))
-            monkeypatch.setattr(
-                gamma0, "_gamma0_edge_table",
-                lambda n: [(c, ds, rows) for c, (ds, rows) in table.items()],
-            )
-            uf = brute_force_cusp_partition(N)
-            assert _classes(uf.ids, uf.find) == _reference_partition(N, pairs), (N, pairs)
+CLOSED_FORM = {"class_count", "cusp_class", "cusp_canonicalize", "cusp_equivalent",
+               "CuspClass", "_complete", "_solve_congruence", "_coprime_representative",
+               "_divisors", "_euler_phi"}
+
+
+def test_partition_reads_nothing_of_the_closed_form():
+    """The oracle, its restriction and the private helpers they reach
+    name none of the closed form's functions, so it stays independent."""
+    tree = ast.parse(pathlib.Path(gamma0.__file__).read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    todo = ["brute_force_cusp_partition", "restrict_partition_to_small_slopes"]
+    seen = set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        names = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(defs[name]) if isinstance(n, ast.Attribute)}
+        assert not names & CLOSED_FORM, (name, names & CLOSED_FORM)
+        todo += [n for n in names if n.startswith("_") and n in defs]
+    assert "_UnionFind" in seen
