@@ -84,12 +84,21 @@ def value_class(cls: type) -> type:
     code `dataclass` generates for ``frozen=True``, so equal values
     compare and hash as they did under it.  `__repr__` and the frozen
     `__setattr__` and `__delattr__` are shared by every value class.
+
+    The same `exec` builds the private classmethod ``_make(*fields)``: it
+    takes every field, in order and with no default, and assigns each as
+    given, with no check and no `__post_init__`, so it stores nothing a
+    `__post_init__` would derive.  A caller may use it only for values it
+    has proved to be what the checked constructor would store (each field
+    already of the checked type and in normal form), and says why in a
+    comment; input from outside never reaches it.
     """
     annotations = cls.__dict__.get("__annotations__", {})
     names = tuple(annotations)
     ns = {
         "__name__": cls.__module__,
         "_set": object.__setattr__,
+        "_new": object.__new__,
         "_is_int": is_int,
         "_int_tuple": _int_tuple,
     }
@@ -118,11 +127,15 @@ def value_class(cls: type) -> type:
                 )
     own = "".join(f"self.{name}," for name in names)
     other = "".join(f"other.{name}," for name in names)
-    body += "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
+    sets = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
+    body += sets
     if hasattr(cls, "__post_init__"):
         body += "\n    self.__post_init__()"
     exec(
         f"def __init__(self, {', '.join(params)}):{body}\n"
+        f"def _make(cls, {', '.join(names)}):\n"
+        f"    self = _new(cls){sets}\n"
+        "    return self\n"
         "def __eq__(self, other):\n"
         "    if other.__class__ is self.__class__:\n"
         f"        return ({own}) == ({other})\n"
@@ -131,10 +144,10 @@ def value_class(cls: type) -> type:
         f"    return hash(({own}))\n",
         ns,
     )
-    for method in ("__init__", "__eq__", "__hash__"):
+    for method in ("__init__", "_make", "__eq__", "__hash__"):
         fn = ns[method]
         fn.__qualname__ = f"{cls.__qualname__}.{method}"
-        setattr(cls, method, fn)
+        setattr(cls, method, classmethod(fn) if method == "_make" else fn)
     cls._fields = names
     cls.__repr__ = _value_repr
     cls.__setattr__ = _frozen_setattr

@@ -327,5 +327,7 @@ def restrict_partition_to_small_slopes(N: int, uf: _UnionFind) -> dict[Slope, in
     for c in range(1, N + 1):
         for a in range(c):
             if gcd(a, c) == 1:
-                out[Slope(a, c)] = uf.find((c % N, pow(a, -1, c) % N))
+                # a and c are exact ints with gcd 1 and c >= 1, so the slope
+                # is already in the lowest terms Slope would store
+                out[Slope._make(a, c)] = uf.find((c % N, pow(a, -1, c) % N))
     return out

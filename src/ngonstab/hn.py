@@ -90,16 +90,29 @@ class HNResult:
 def _phase_groups(
     charges: list[ChargeVec],
 ) -> list[tuple[ChargeVec, tuple[int, ...]]]:
-    """(summed charge, indices) per primitive direction, descending."""
-    groups: dict[ChargeVec, list[int]] = {}
+    """(summed charge, indices) per primitive direction, descending.
+
+    A direct sum repeats its charges, so each distinct charge takes its
+    direction once, and each group keeps a running sum and its indices
+    in ascending order as the one pass meets them.
+    """
+    directions: dict[ChargeVec, ChargeVec] = {}
+    groups: dict[ChargeVec, list] = {}
     for idx, c in enumerate(charges):
-        groups.setdefault(primitive(c), []).append(idx)
+        d = directions.get(c)
+        if d is None:
+            d = directions[c] = primitive(c)
+        group = groups.get(d)
+        if group is None:
+            groups[d] = [c[0], c[1], [idx]]
+        else:
+            group[0] += c[0]
+            group[1] += c[1]
+            group[2].append(idx)
     out = []
     for d in sorted(groups, key=phase_sort_key, reverse=True):
-        members = tuple(groups[d])
-        re = sum(charges[i][0] for i in members)
-        im = sum(charges[i][1] for i in members)
-        out.append(((re, im), members))
+        re, im, members = groups[d]
+        out.append(((re, im), tuple(members)))
     return out
 
 
@@ -119,7 +132,8 @@ def hn_of_object(s: Summand | SheafObject) -> HNResult:
             )
     charges = [object_charge(part) for part in parts]
     result = HNResult(tuple(HNSlice(*group) for group in _phase_groups(charges)))
-    assert result.total_charge == object_charge(s)
+    # object_charge(s) is this sum of its summands' charges
+    assert result.total_charge == tuple(map(sum, zip(*charges)))
     return result
 
 

@@ -312,16 +312,17 @@ Summand = BandSheaf | ChainSheaf | TorsionSheaf
 
 
 def _summand_sort_key(s: Summand) -> tuple:
-    if isinstance(s, TorsionSheaf):
-        pos = s.position
-        if isinstance(pos, SmoothPoint):
-            where = (0, pos.component, pos.label)
-        else:
-            where = (1, pos.index, "")
-        return (0, s.length, where)
+    # the families are disjoint, so testing the commonest first changes nothing
     if isinstance(s, ChainSheaf):
         return (1, s.k, s.start, s.multideg)
-    return (2, s.r, s.m, s.multideg, str(s.lam))
+    if isinstance(s, BandSheaf):
+        return (2, s.r, s.m, s.multideg, str(s.lam))
+    pos = s.position
+    if isinstance(pos, SmoothPoint):
+        where = (0, pos.component, pos.label)
+    else:
+        where = (1, pos.index, "")
+    return (0, s.length, where)
 
 
 @value_class
@@ -515,15 +516,38 @@ def galois_translate(s, power: int):
     moves a band by one full sheet, which equality treats as the same
     band.
     """
+    parts = _parts(s)
+    if not is_int(power):
+        raise ValueError("power must be an integer")
+    # An image of an exact family is built unchecked, with the fields its
+    # constructor would store.  x passed that constructor, and the
+    # rotation keeps n, k, r, m, lam and length, so their checks hold; a
+    # rotated int tuple keeps its length and its exact-int entries; an
+    # integer power keeps start and the point's index exact ints, and
+    # `% n` and `_moved` reduce them as the constructors do; a band's
+    # vector gets the least sheet rotation its constructor takes.  Any
+    # other type is rebuilt through the checked constructors.
     out: list[Summand] = []
-    for x in _parts(s):
-        if isinstance(x, BandSheaf):
+    for x in parts:
+        kind = type(x)
+        if kind is ChainSheaf:
+            out.append(ChainSheaf._make(x.n, x.k, (x.start + power) % x.n, x.multideg))
+        elif kind is BandSheaf:
+            d = _least_sheet_rotation(_rotated(x.multideg, power), x.n)
+            out.append(BandSheaf._make(x.n, x.r, d, x.lam, x.m))
+        elif kind is TorsionSheaf:
+            out.append(TorsionSheaf._make(x.n, _moved(x.position, power, x.n), x.length))
+        elif isinstance(x, BandSheaf):
             out.append(BandSheaf(x.n, x.r, _rotated(x.multideg, power), x.lam, x.m))
         elif isinstance(x, ChainSheaf):
             out.append(ChainSheaf(x.n, x.k, x.start + power, x.multideg))
         else:
             out.append(TorsionSheaf(x.n, _moved(x.position, power, x.n), x.length))
-    return _like(s, out)
+    if not isinstance(s, SheafObject):
+        return out[0]
+    # every image is one of the three families on the n of s, one per
+    # summand of s, which is not empty: all SheafObject checks but the sort
+    return SheafObject._make(tuple(sorted(out, key=_summand_sort_key)))
 
 
 def tensor_line(s, deg: tuple[int, ...], mu: Label, triv_only: bool = False):
@@ -598,12 +622,12 @@ def is_semistable(s: Summand) -> str:
       g-value; once the spread is at most N, v + N <= max g <= min g + N
       <= v + N forces v = min g and max g = min g + N.
     """
-    if isinstance(s, TorsionSheaf):
-        return STABLE if s.length == 1 else SEMISTABLE
     if isinstance(s, ChainSheaf):
         return _judge(_chain_memo, s.multideg)
     if isinstance(s, BandSheaf):
         return _band_verdict(s)
+    if isinstance(s, TorsionSheaf):
+        return STABLE if s.length == 1 else SEMISTABLE
     raise TypeError(f"not an indecomposable summand model: {type(s).__name__}")
 
 
@@ -631,10 +655,12 @@ def _band_verdict(b: BandSheaf) -> str:
     # Multiplicity m > 1 is an equal-slope self-extension, and a period
     # q < r splits the band into r/q equal-slope bands on the nq-cycle,
     # whose degrees are the first nq entries.  Either way semistability
-    # passes through and stability never does.
-    q = b.period
-    core = _judge(_cycle_memo, b.multideg[: b.n * q])
-    return SEMISTABLE if core == STABLE and (b.m > 1 or q < b.r) else core
+    # passes through and stability never does.  r = 1 is its own period,
+    # and at q = r the core is the whole vector.
+    r = b.r
+    q = 1 if r == 1 else b.period
+    core = _judge(_cycle_memo, b.multideg if q == r else b.multideg[: b.n * q])
+    return SEMISTABLE if core == STABLE and (b.m > 1 or q < r) else core
 
 
 def _cycle_verdict(d: tuple[int, ...]) -> str:

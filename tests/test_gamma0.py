@@ -223,6 +223,16 @@ def test_partition_matches_closed_form(N):
     assert len(set(restricted.values())) == class_count(N)
 
 
+def test_restricted_keys_are_the_checked_slopes():
+    for N in (1, 2, 7, 12, 30):
+        keys = list(restrict_partition_to_small_slopes(N, brute_force_cusp_partition(N)))
+        want = [Slope.infinity()] + [
+            Slope(a, c) for c in range(1, N + 1) for a in range(c) if gcd(a, c) == 1
+        ]
+        assert keys == want and [repr(k) for k in keys] == [repr(s) for s in want]
+        assert len(set(keys)) == len(keys)
+
+
 def test_partition_matches_pairwise_equivalence():
     for N in (4, 6, 9, 12):
         restricted = restrict_partition_to_small_slopes(

@@ -5,7 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ngonstab.charges import PhasePoint, in_h_prime, phase_of_charge
+from ngonstab.charges import (
+    PhasePoint,
+    in_h_prime,
+    phase_of_charge,
+    phase_sort_key,
+    primitive,
+)
 from ngonstab.hn import (
     HNPolygon,
     HNResult,
@@ -21,12 +27,14 @@ from ngonstab.sheaves import (
     Label,
     NodePoint,
     SheafObject,
+    SmoothPoint,
     TorsionSheaf,
     object_charge,
     random_object,
 )
 
 A = Label.generator("a")
+ONE = Label.identity()
 
 def test_two_slice_filtration():
     obj = SheafObject(
@@ -79,6 +87,61 @@ def _reference_groups(charges):
         im = sum(charges[i][1] for i in members)
         out.append(((re, im), tuple(members)))
     return out
+
+
+def _per_index_groups(charges):
+    """(summed charge, indices) per primitive direction, descending: one
+    direction per index, and each group summed over its members."""
+    groups = {}
+    for idx, c in enumerate(charges):
+        groups.setdefault(primitive(c), []).append(idx)
+    out = []
+    for d in sorted(groups, key=phase_sort_key, reverse=True):
+        members = tuple(groups[d])
+        re = sum(charges[i][0] for i in members)
+        im = sum(charges[i][1] for i in members)
+        out.append(((re, im), members))
+    return out
+
+
+# semistable summands on the 2-cycle with five charges, of which (-1, 1)
+# and (-2, 2), and (-1, 0) and (-2, 0), are distinct charges on one ray
+_FIVE_CHARGES = (
+    ChainSheaf(2, 1, 0, (0,)),  # (-1, 1)
+    ChainSheaf(2, 1, 1, (0,)),  # (-1, 1)
+    BandSheaf(2, 1, (1, 1), ONE),  # (-2, 2)
+    BandSheaf(2, 1, (1, 0), A),  # (-1, 2)
+    ChainSheaf(2, 2, 1, (0, 0)),  # (-1, 2)
+    TorsionSheaf(2, NodePoint(0), 1),  # (-1, 0)
+    TorsionSheaf(2, SmoothPoint(1, "p"), 2),  # (-2, 0)
+)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_grouping_matches_the_per_index_reference_on_long_objects(seed):
+    rng = random.Random(seed)
+    obj = SheafObject(tuple(rng.choice(_FIVE_CHARGES) for _ in range(200)))
+    charges = [object_charge(x) for x in obj.summands]
+    assert len(set(charges)) == 5
+    groups = _per_index_groups(charges)
+    result = hn_of_object(obj)
+    assert result.slices == tuple(HNSlice(*group) for group in groups)
+    assert len(result.slices) == 3
+    for sl in result.slices:
+        assert list(sl.members) == sorted(sl.members)
+    assert sorted(i for sl in result.slices for i in sl.members) == list(range(200))
+    assert result.total_charge == object_charge(obj)
+    # the polygon of the raw charges, and of a shuffled and ray-heavy list
+    vertices = [(0, 0)]
+    for (re, im), _ in groups:
+        vertices.append((vertices[-1][0] + re, vertices[-1][1] + im))
+    assert hn_polygon(charges).vertices == tuple(vertices)
+    raw = [rng.choice([(-1, 1), (-2, 2), (-3, 3), (0, 1), (-1, 0)]) for _ in range(200)]
+    vertices = [(0, 0)]
+    for (re, im), _ in _per_index_groups(raw):
+        vertices.append((vertices[-1][0] + re, vertices[-1][1] + im))
+    assert hn_polygon(raw).vertices == tuple(vertices)
+    assert hn_polygon(raw).total == tuple(map(sum, zip(*raw)))
 
 
 # a few rays, each drawn at several positive multiples, and torsion (-k, 0)

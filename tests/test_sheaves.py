@@ -390,6 +390,108 @@ def test_galois_translate_is_an_action(s, a, b):
     assert object_charge(galois_translate(s, a)) == object_charge(s)
 
 
+def _reference_translate(s, power):
+    """galois_translate rebuilt through the public checked constructors."""
+
+    def image(x):
+        if isinstance(x, BandSheaf):
+            return BandSheaf(x.n, x.r, _rotated(x.multideg, power), x.lam, x.m)
+        if isinstance(x, ChainSheaf):
+            return ChainSheaf(x.n, x.k, x.start + power, x.multideg)
+        pos = x.position
+        if isinstance(pos, SmoothPoint):
+            return TorsionSheaf(x.n, SmoothPoint(pos.component + power, pos.label), x.length)
+        return TorsionSheaf(x.n, NodePoint(pos.index + power), x.length)
+
+    if isinstance(s, SheafObject):
+        return SheafObject(tuple(image(x) for x in s.summands))
+    return image(s)
+
+
+def _translate_corpus(seed):
+    """Objects on 1-6 lines: chains of k <= 8, bands of r <= 3 with m <= 2,
+    smooth and node torsion, and runs of bands equal but for the label."""
+    rng = random.Random(seed)
+    labels = [ONE, A, A**-1, A**2, A**-2, A * B**-1, B]
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        parts = []
+        for _ in range(rng.randint(1, 30)):
+            kind = rng.choice(("chain", "band", "smooth", "node", "labels"))
+            if kind == "chain":
+                k = rng.randint(1, 8)
+                d = tuple(rng.randint(-2, 2) for _ in range(k))
+                parts.append(ChainSheaf(n, k, rng.randrange(n), d))
+            elif kind in ("band", "labels"):
+                r = rng.randint(1, 3)
+                d = tuple(rng.randint(-2, 2) for _ in range(n * r))
+                m = rng.randint(1, 2)
+                for lam in rng.sample(labels, rng.randint(2, 4) if kind == "labels" else 1):
+                    parts.append(BandSheaf(n, r, d, lam, m))
+            elif kind == "smooth":
+                where = SmoothPoint(rng.randrange(n), rng.choice(("p", "q", "z")))
+                parts.append(TorsionSheaf(n, where, rng.randint(1, 3)))
+            else:
+                parts.append(TorsionSheaf(n, NodePoint(rng.randrange(n)), rng.randint(1, 3)))
+        yield SheafObject(tuple(parts))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_galois_translate_equals_the_checked_rebuild(seed):
+    for obj in _translate_corpus(seed):
+        n = obj.n
+        # negative powers, and powers past n and past a band's n*r
+        for power in (*range(-3 * n - 1, 3 * n + 2), 10**9 + 7, -(10**12)):
+            got, want = galois_translate(obj, power), _reference_translate(obj, power)
+            assert got == want and repr(got) == repr(want), (obj, power)
+            assert type(got.summands) is tuple
+            # summand order, bands equal but for the label included
+            assert [repr(x) for x in got.summands] == [repr(x) for x in want.summands]
+            for x in obj.summands:
+                assert repr(galois_translate(x, power)) == repr(_reference_translate(x, power))
+
+
+def test_galois_translate_keeps_the_label_text_order():
+    labels = [ONE, A, A**-1, A**2, A**-2, A * B**-1]
+    expected = ["1", "a", "a*b^-1", "a^-1", "a^-2", "a^2"]
+    obj = SheafObject(tuple(BandSheaf(3, 2, (1, 0, 2, 0, 0, 1), lam, 1) for lam in labels))
+    for power in range(-7, 8):
+        turned = galois_translate(obj, power)
+        assert [str(s.lam) for s in turned.summands] == expected
+        assert turned == _reference_translate(obj, power)
+
+
+def test_galois_translate_rebuilds_a_subclass_through_its_constructor():
+    images = []
+    for x in (ChainSheaf(3, 2, 1, (1, 0)), BandSheaf(3, 2, (1, 0, 0, 0, 1, 0), A),
+              TorsionSheaf(3, NodePoint(2), 1)):
+        sub = type("Sub" + type(x).__name__, (type(x),), {})(*vars(x).values())
+        image = galois_translate(sub, 4)
+        assert type(image) is type(x) and image == _reference_translate(x, 4)
+        images.append(sub)
+    assert galois_translate(SheafObject(tuple(images)), -2) == _reference_translate(
+        SheafObject(tuple(images)), -2
+    )
+
+
+_ONE_OF_EACH = (
+    ChainSheaf(3, 2, 1, (1, 0)),
+    BandSheaf(3, 2, (1, 0, 0, 0, 1, 0), A, 2),
+    TorsionSheaf(3, SmoothPoint(1, "p"), 2),
+    TorsionSheaf(3, NodePoint(2), 1),
+)
+
+
+@pytest.mark.parametrize("power", [1.5, "1", True], ids=repr)
+@pytest.mark.parametrize(
+    "s", [*_ONE_OF_EACH, SheafObject(_ONE_OF_EACH)],
+    ids=["chain", "band", "smooth", "node", "object"],
+)
+def test_galois_translate_refuses_a_non_integer_power(s, power):
+    with pytest.raises(ValueError, match="^power must be an integer$"):
+        galois_translate(s, power)
+
+
 @given(summand_strategy, st.integers(0, 10_000))
 @settings(max_examples=60)
 def test_tensor_line_inverts(s, seed):

@@ -7,9 +7,13 @@ depend only on the field values.
 
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+
+import ngonstab
 
 from ngonstab.charges import KClass, PhasePoint, Slope, slope_to_phase, value_class
 from ngonstab.compat import CompatReport, KAuto
@@ -107,6 +111,62 @@ def test_fields_are_frozen(cls, fields):
         with pytest.raises(AttributeError):
             delattr(x, name)
     assert tuple(getattr(x, name) for name in fields) == tuple(fields.values())
+
+
+@pytest.mark.parametrize("cls, fields", TABLE, ids=IDS)
+def test_make_builds_what_the_constructor_stores(cls, fields):
+    x = cls(**fields)
+    y = cls._make(*fields.values())
+    assert type(y) is cls and y is not x
+    assert y == x and x == y and hash(y) == hash(x) and repr(y) == repr(x)
+    # exactly the fields: what a __post_init__ derives (ModuliDescription's
+    # representative and witness) is not stored
+    assert vars(y) == fields
+    with pytest.raises(AttributeError):
+        setattr(y, next(iter(fields)), 1)
+
+
+def test_make_runs_no_check_and_takes_every_field():
+    # the caller proves the value canonical; _make neither checks nor normalises
+    assert Slope._make(2, 4).num == 2 and Slope._make(2, 4) != Slope(2, 4)
+    assert Slope._make(True, 1).num is True
+    with pytest.raises(TypeError):
+        BandSheaf._make(2, 1, (0, 1), A)
+
+
+# Each function of src/ that builds a value through `_make`; each states
+# in a comment why the value is what its checked constructor would store.
+# The command-line boundary (cli, schemas) must never appear here, so no
+# outside input skips a check.
+MAKE_CALLERS = {
+    ("gamma0", "restrict_partition_to_small_slopes"),
+    ("sheaves", "galois_translate"),
+}
+
+
+def _make_sites(tree: ast.AST, module: str) -> set[tuple[str, str]]:
+    """(module, innermost enclosing function) of every `._make` reference."""
+    sites = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "_make":
+                sites.add((module, where))
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return sites
+
+
+def test_only_proved_callers_build_values_unchecked():
+    found = set()
+    for path in sorted(Path(ngonstab.__file__).parent.glob("*.py")):
+        found |= _make_sites(ast.parse(path.read_text()), path.stem)
+    assert found == MAKE_CALLERS
+    assert not {module for module, _ in found} & {"cli", "schemas"}
 
 
 INT_FIELDS = [
