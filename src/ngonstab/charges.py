@@ -261,7 +261,7 @@ class PhasePoint:
         object.__setattr__(self, "dir", primitive(self.dir))
 
     def sort_key(self) -> tuple:
-        return (self.two_shift, _phase_key(self.dir))
+        return (self.two_shift, phase_sort_key(self.dir))
 
     def to_json(self) -> dict:
         return {"two_shift": self.two_shift, "dir": list(self.dir)}

@@ -19,8 +19,6 @@ from .charges import (
     _int_tuple,
     in_h_prime,
     phase_cmp,
-    phase_sort_key,
-    primitive,
     value_class,
 )
 from .sheaves import (
@@ -90,30 +88,39 @@ class HNResult:
 def _phase_groups(
     charges: list[ChargeVec],
 ) -> list[tuple[ChargeVec, tuple[int, ...]]]:
-    """(summed charge, indices) per primitive direction, descending.
+    """(summed charge, indices) per phase, in strictly descending phase.
 
-    A direct sum repeats its charges, so each distinct charge takes its
-    direction once, and each group keeps a running sum and its indices
-    in ascending order as the one pass meets them.
+    Every charge lies in H'.  With M the largest im, a charge above the
+    real axis is keyed by the integer (re * M*M) // im, and the torsion
+    charges (im = 0, re < 0), all of phase 1, share one separate key and
+    come first.  Above the real axis the phase falls as re/im rises.  Two
+    distinct ratios a/b and c/d with 1 <= b, d <= M differ by
+    |ad - bc|/(bd) >= 1/(bd) >= 1/M^2, so scaled by M^2 they lie at
+    least 1 apart, and their floors are distinct and in the same order.
+    Equal ratios, one ray, get equal keys.  So the keys group exactly
+    the charges of one primitive direction, and ascending keys are
+    descending phases, with no comparator and no gcd; HNResult and
+    HNPolygon check each adjacent pair with phase_cmp all the same.
+    Each group keeps a running sum and its indices in ascending order
+    as the one pass meets them.
     """
-    directions: dict[ChargeVec, ChargeVec] = {}
-    groups: dict[ChargeVec, list] = {}
-    for idx, c in enumerate(charges):
-        d = directions.get(c)
-        if d is None:
-            d = directions[c] = primitive(c)
-        group = groups.get(d)
+    m = max((c[1] for c in charges), default=0)
+    m2 = m * m
+    groups: dict[int | None, list] = {}
+    for idx, (re, im) in enumerate(charges):
+        key = (re * m2) // im if im else None
+        group = groups.get(key)
         if group is None:
-            groups[d] = [c[0], c[1], [idx]]
+            groups[key] = [re, im, [idx]]
         else:
-            group[0] += c[0]
-            group[1] += c[1]
+            group[0] += re
+            group[1] += im
             group[2].append(idx)
-    out = []
-    for d in sorted(groups, key=phase_sort_key, reverse=True):
-        re, im, members = groups[d]
-        out.append(((re, im), tuple(members)))
-    return out
+    torsion = groups.pop(None, None)
+    ordered = [groups[key] for key in sorted(groups)]
+    if torsion is not None:
+        ordered.insert(0, torsion)
+    return [((re, im), tuple(members)) for re, im, members in ordered]
 
 
 def hn_of_object(s: Summand | SheafObject) -> HNResult:
@@ -124,13 +131,13 @@ def hn_of_object(s: Summand | SheafObject) -> HNResult:
     does not split indecomposables, so the caller must refine such a
     summand into semistable pieces first.
     """
-    parts = _parts(s)
-    for idx, part in enumerate(parts):
+    charges = []
+    for idx, part in enumerate(_parts(s)):
         if is_semistable(part) == UNSTABLE:
             raise ValueError(
                 f"summand {idx} is unstable; refine it before filtering"
             )
-    charges = [object_charge(part) for part in parts]
+        charges.append(object_charge(part))
     result = HNResult(tuple(HNSlice(*group) for group in _phase_groups(charges)))
     # object_charge(s) is this sum of its summands' charges
     assert result.total_charge == tuple(map(sum, zip(*charges)))

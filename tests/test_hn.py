@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ngonstab.charges import (
     PhasePoint,
     in_h_prime,
+    phase_cmp,
     phase_of_charge,
     phase_sort_key,
     primitive,
@@ -104,6 +107,14 @@ def _per_index_groups(charges):
     return out
 
 
+def _vertices(groups):
+    """The polygon's vertices: the running sums of the group charges."""
+    vertices = [(0, 0)]
+    for (re, im), _ in groups:
+        vertices.append((vertices[-1][0] + re, vertices[-1][1] + im))
+    return tuple(vertices)
+
+
 # semistable summands on the 2-cycle with five charges, of which (-1, 1)
 # and (-2, 2), and (-1, 0) and (-2, 0), are distinct charges on one ray
 _FIVE_CHARGES = (
@@ -132,56 +143,99 @@ def test_grouping_matches_the_per_index_reference_on_long_objects(seed):
     assert sorted(i for sl in result.slices for i in sl.members) == list(range(200))
     assert result.total_charge == object_charge(obj)
     # the polygon of the raw charges, and of a shuffled and ray-heavy list
-    vertices = [(0, 0)]
-    for (re, im), _ in groups:
-        vertices.append((vertices[-1][0] + re, vertices[-1][1] + im))
-    assert hn_polygon(charges).vertices == tuple(vertices)
+    assert hn_polygon(charges).vertices == _vertices(groups)
     raw = [rng.choice([(-1, 1), (-2, 2), (-3, 3), (0, 1), (-1, 0)]) for _ in range(200)]
-    vertices = [(0, 0)]
-    for (re, im), _ in _per_index_groups(raw):
-        vertices.append((vertices[-1][0] + re, vertices[-1][1] + im))
-    assert hn_polygon(raw).vertices == tuple(vertices)
+    assert hn_polygon(raw).vertices == _vertices(_per_index_groups(raw))
     assert hn_polygon(raw).total == tuple(map(sum, zip(*raw)))
 
 
-# a few rays, each drawn at several positive multiples, and torsion (-k, 0)
-_ray_charges = st.builds(
-    lambda re, im, j: (j * re, j * im),
-    st.integers(-3, 3),
-    st.integers(1, 3),
-    st.integers(1, 4),
-)
-_charge_lists = st.lists(
-    st.one_of(_ray_charges, st.integers(1, 4).map(lambda k: (-k, 0))), max_size=12
-)
+# up to 100-digit entries; the bound is drawn per example, so small and
+# huge charges are both exercised
+_BIG = 10**100
+_bounds = st.sampled_from((3, _BIG))
+
+
+@st.composite
+def _charge_lists(draw):
+    """Positive multiples of a few rays and of torsion (-k, 0), so equal
+    rays are forced; all-torsion lists and the empty list come up too."""
+    bound = draw(_bounds)
+    ray = st.tuples(st.integers(-bound, bound), st.integers(1, bound))
+    torsion = st.integers(1, bound).map(lambda k: (-k, 0))
+    rays = draw(st.lists(st.one_of(ray, torsion), min_size=1, max_size=4))
+    picks = st.tuples(st.sampled_from(rays), st.integers(1, 4))
+    return [(j * re, j * im) for (re, im), j in draw(st.lists(picks, max_size=12))]
 
 
 @st.composite
 def _ray_objects(draw):
     # a one-line chain of degree x - 1 and a band of constant degree x on
-    # r sheets share the ray (-x, 1); both are Stable, as is a torsion point
+    # r sheets share the ray (-x, 1); a two-line chain of degrees (x, x + e)
+    # has charge (-1 - 2x - e, 2), on the ray (-x, 1) for e = -1 and
+    # (-x - 1, 1) for e = 1; all are semistable, as is torsion of any length
     n = draw(st.integers(1, 4))
+    bound = draw(_bounds)
+    degree = st.integers(-bound, bound)
     summand = st.one_of(
-        st.builds(lambda x: ChainSheaf(n, 1, 0, (x - 1,)), st.integers(-2, 2)),
+        st.builds(lambda x: ChainSheaf(n, 1, 0, (x - 1,)), degree),
         st.builds(
-            lambda x, r: BandSheaf(n, r, (x,) * (n * r), A), st.integers(-2, 2),
-            st.integers(1, 2),
+            lambda x, e: ChainSheaf(n, 2, 0, (x, x + e)), degree, st.integers(-1, 1)
         ),
-        st.builds(lambda k: TorsionSheaf(n, NodePoint(0), k), st.integers(1, 3)),
+        st.builds(
+            lambda x, r: BandSheaf(n, r, (x,) * (n * r), A), degree, st.integers(1, 2),
+        ),
+        st.builds(
+            lambda k: TorsionSheaf(n, NodePoint(0), k), st.integers(1, bound)
+        ),
     )
     return SheafObject(tuple(draw(st.lists(summand, min_size=1, max_size=8))))
 
 
-@given(_charge_lists, _ray_objects())
+@given(_charge_lists(), _ray_objects())
 @settings(max_examples=150)
 def test_grouping_matches_the_phase_point_reference(charges, obj):
-    vertices = [(0, 0)]
-    for (re, im), _ in _reference_groups(charges):
-        vertices.append((vertices[-1][0] + re, vertices[-1][1] + im))
-    assert hn_polygon(charges).vertices == tuple(vertices)
     parts = [object_charge(x) for x in obj.summands]
-    want = tuple(HNSlice(*group) for group in _reference_groups(parts))
-    assert hn_of_object(obj).slices == want
+    for reference in (_reference_groups, _per_index_groups):
+        assert hn_polygon(charges).vertices == _vertices(reference(charges))
+        want = tuple(HNSlice(*group) for group in reference(parts))
+        assert hn_of_object(obj).slices == want
+
+
+@pytest.mark.parametrize("m", [2, 10, 10**6, 10**30])
+def test_grouping_splits_farey_neighbours(m):
+    # 1/(m-1) and 1/m, and (m-2)/(m-1) and (m-1)/m, are Farey neighbours
+    # 1/(m(m-1)) apart: the closest two ratios with im <= m can be
+    charges = [(1, m), (1, m - 1), (m - 1, m), (m - 2, m - 1)]
+    charges += [(-re, im) for re, im in charges] + [(-m, 0), (0, 1)]
+    for reference in (_reference_groups, _per_index_groups):
+        assert hn_polygon(charges).vertices == _vertices(reference(charges))
+        assert hn_polygon(charges[::-1]).vertices == _vertices(reference(charges))
+    distinct = {PhasePoint(0, c) for c in charges}
+    assert len(hn_polygon(charges).vertices) == len(distinct) + 1
+
+
+def test_filtering_orders_slices_without_a_comparator_sort_or_a_gcd():
+    # the slice order costs no comparisons beyond HNResult's and
+    # HNPolygon's s - 1 checks each, and no direction is reduced
+    calls = Counter()
+    watched = {phase_cmp.__code__: "phase_cmp", primitive.__code__: "primitive"}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    rng = random.Random(35)
+    checks = 0
+    for _ in range(200):
+        obj = random_object(rng, True)
+        sys.setprofile(profile)
+        try:
+            result = hn_of_object(obj)
+            hn_polygon([sl.total_charge for sl in result.slices])
+        finally:
+            sys.setprofile(None)
+        checks += 2 * (len(result.slices) - 1)
+    assert calls == Counter(phase_cmp=checks)
 
 
 def test_hn_result_validates_order():
