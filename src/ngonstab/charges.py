@@ -33,7 +33,6 @@ __all__ = [
     "add_half_turns",
     "in_h_prime",
     "primitive",
-    "phase_sort_key",
 ]
 
 # A charge is the exact value of the central charge as a pair of integers
@@ -84,6 +83,8 @@ def value_class(cls: type) -> type:
     code `dataclass` generates for ``frozen=True``, so equal values
     compare and hash as they did under it.  `__repr__` and the frozen
     `__setattr__` and `__delattr__` are shared by every value class.
+    A value class is final: defining a subclass raises TypeError, so an
+    instance of `cls` is exactly of type `cls`.
 
     The same `exec` builds the private classmethod ``_make(*fields)``: it
     takes every field, in order and with no default, and assigns each as
@@ -149,6 +150,11 @@ def value_class(cls: type) -> type:
         fn.__qualname__ = f"{cls.__qualname__}.{method}"
         setattr(cls, method, classmethod(fn) if method == "_make" else fn)
     cls._fields = names
+
+    def __init_subclass__(sub, **kwargs):
+        raise TypeError(f"value class {cls.__qualname__} is final")
+
+    cls.__init_subclass__ = classmethod(__init_subclass__)
     cls.__repr__ = _value_repr
     cls.__setattr__ = _frozen_setattr
     cls.__delattr__ = _frozen_delattr
@@ -233,17 +239,6 @@ def phase_cmp(a: ChargeVec, b: ChargeVec) -> int:
 _phase_key = cmp_to_key(phase_cmp)
 
 
-def phase_sort_key(c: ChargeVec):
-    """Sort key ordering nonzero charges by phase inside (0, 2].
-
-    Keys compare with <, > and == through phase_cmp; equal keys are
-    directions on one ray.
-    """
-    if c == (0, 0):
-        raise ValueError("charge in kernel")
-    return _phase_key(c)
-
-
 @value_class
 class PhasePoint:
     """Exact point of the phase line: phi = phi0(dir) + 2*two_shift.
@@ -261,7 +256,8 @@ class PhasePoint:
         object.__setattr__(self, "dir", primitive(self.dir))
 
     def sort_key(self) -> tuple:
-        return (self.two_shift, phase_sort_key(self.dir))
+        # dir is primitive, so never (0, 0): phase_cmp orders every pair
+        return (self.two_shift, _phase_key(self.dir))
 
     def to_json(self) -> dict:
         return {"two_shift": self.two_shift, "dir": list(self.dir)}
@@ -286,8 +282,6 @@ def add_half_turns(p: PhasePoint, turns: int) -> PhasePoint:
     carry depends on which side of H' the direction started on (crossing
     downward through the branch end bumps two_shift).
     """
-    if turns == 0:
-        return p
     shift, d = p.two_shift, p.dir
     shift += turns // 2
     if turns % 2:

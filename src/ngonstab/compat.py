@@ -399,8 +399,6 @@ def _sorted_primitive_box(box: int) -> tuple[ChargeVec, ...]:
     together that is H', phases (0, 1].  Negation adds exactly 1,
     carrying H' in order onto the rest, phases (1, 2].
     """
-    if box < 1:
-        return ()
     farey = [(0, 1)]
     a, b, c, d = 0, 1, 1, box
     while c <= d:

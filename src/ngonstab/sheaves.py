@@ -336,8 +336,6 @@ class SheafObject:
     summands: tuple[Summand, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.summands, tuple):
-            object.__setattr__(self, "summands", tuple(self.summands))
         if not self.summands:
             raise ValueError("object needs at least one summand")
         first = self.summands[0]
@@ -519,14 +517,14 @@ def galois_translate(s, power: int):
     parts = _parts(s)
     if not is_int(power):
         raise ValueError("power must be an integer")
-    # An image of an exact family is built unchecked, with the fields its
-    # constructor would store.  x passed that constructor, and the
-    # rotation keeps n, k, r, m, lam and length, so their checks hold; a
-    # rotated int tuple keeps its length and its exact-int entries; an
-    # integer power keeps start and the point's index exact ints, and
-    # `% n` and `_moved` reduce them as the constructors do; a band's
-    # vector gets the least sheet rotation its constructor takes.  Any
-    # other type is rebuilt through the checked constructors.
+    # Each image is built unchecked, with the fields its constructor
+    # would store.  x passed the constructor of its family, one of three
+    # final classes, and the rotation keeps n, k, r, m, lam and length,
+    # so their checks hold; a rotated int tuple keeps its length and its
+    # exact-int entries; an integer power keeps start and the point's
+    # index exact ints, and `% n` and `_moved` reduce them as the
+    # constructors do; a band's vector gets the least sheet rotation its
+    # constructor takes.
     out: list[Summand] = []
     for x in parts:
         kind = type(x)
@@ -535,14 +533,8 @@ def galois_translate(s, power: int):
         elif kind is BandSheaf:
             d = _least_sheet_rotation(_rotated(x.multideg, power), x.n)
             out.append(BandSheaf._make(x.n, x.r, d, x.lam, x.m))
-        elif kind is TorsionSheaf:
-            out.append(TorsionSheaf._make(x.n, _moved(x.position, power, x.n), x.length))
-        elif isinstance(x, BandSheaf):
-            out.append(BandSheaf(x.n, x.r, _rotated(x.multideg, power), x.lam, x.m))
-        elif isinstance(x, ChainSheaf):
-            out.append(ChainSheaf(x.n, x.k, x.start + power, x.multideg))
         else:
-            out.append(TorsionSheaf(x.n, _moved(x.position, power, x.n), x.length))
+            out.append(TorsionSheaf._make(x.n, _moved(x.position, power, x.n), x.length))
     if not isinstance(s, SheafObject):
         return out[0]
     # every image is one of the three families on the n of s, one per

@@ -17,7 +17,6 @@ from ngonstab.charges import (
     in_h_prime,
     phase_cmp,
     phase_of_charge,
-    phase_sort_key,
     primitive,
     _int_tuple,
 )
@@ -152,7 +151,7 @@ def test_sort_matches_float_phase_exhaustive_box():
             if (x, y) != (0, 0)
         }
     )
-    by_key = sorted(dirs, key=phase_sort_key)
+    by_key = sorted(dirs, key=lambda c: PhasePoint(0, c).sort_key())
     by_float = sorted(dirs, key=float_phase)
     assert by_key == by_float
 
@@ -164,7 +163,7 @@ def test_sort_matches_float_phase_random():
         b = (rng.randint(-1000, 1000), rng.randint(-1000, 1000))
         if a == (0, 0) or b == (0, 0):
             continue
-        exact = phase_sort_key(a) < phase_sort_key(b)
+        exact = PhasePoint(0, a).sort_key() < PhasePoint(0, b).sort_key()
         fa, fb = float_phase(a), float_phase(b)
         if abs(fa - fb) > 1e-9:
             assert exact == (fa < fb), (a, b)
@@ -271,11 +270,6 @@ def test_compare_phase_matches_sort_key(a, b):
     expected = "LT" if ka < kb else "GT" if ka > kb else "EQ"
     assert compare_phase(a, b) == expected
     assert (ka == kb) == (a == b)
-
-
-def test_phase_sort_key_refuses_zero():
-    with pytest.raises(ValueError):
-        phase_sort_key((0, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from ngonstab.charges import (
     in_h_prime,
     phase_cmp,
     phase_of_charge,
-    phase_sort_key,
 )
 from ngonstab.compat import (
     CompatReport,
@@ -512,8 +511,8 @@ def _order_preserved_by_definition(m, n, box):
     # order is preserved when the images, in member order, are a rotation
     # of their phase-sorted order with no two on one ray
     images = [m.matvec(v) for v in _box_members(m, n, box)]
-    ordered = sorted(images, key=phase_sort_key)
-    keys = [phase_sort_key(v) for v in ordered]
+    ordered = sorted(images, key=lambda c: PhasePoint(0, c).sort_key())
+    keys = [PhasePoint(0, v).sort_key() for v in ordered]
     distinct = all(p < q for p, q in zip(keys, keys[1:]))
     cut = images.index(ordered[0]) if images else 0
     return distinct and images[cut:] + images[:cut] == ordered
@@ -557,7 +556,7 @@ def _box_by_definition(box):
         for y in range(-box, box + 1)
         if gcd(x, y) == 1
     ]
-    pts.sort(key=phase_sort_key)
+    pts.sort(key=lambda c: PhasePoint(0, c).sort_key())
     return tuple(pts)
 
 

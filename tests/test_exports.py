@@ -28,6 +28,8 @@ ROOT = SRC.parent.parent
 # Public names that only tests reach, each with the reason it stays.
 UNREACHED = {
     "stable_vb_construct": "waits for its caller, the moduli oracle of ROADMAP item 2",
+    "pullback": "the paper's cover functor; read only by stable_vb_construct, it "
+    "waits for callers in ROADMAP items 2, 11 and 14",
 }
 
 
@@ -69,7 +71,9 @@ def _callers() -> list[Path]:
 def test_every_public_name_has_a_caller_outside_the_tests():
     """A name in a module's __all__ must be read by the library outside
     its own definition (recursion is no caller), by the benchmark or by
-    the acceptance suite."""
+    the acceptance suite.  A read inside a definition that UNREACHED
+    lists is no caller either: a name only an unreached name reads is
+    unreached too."""
     uses = {path: _uses(path) for path in _callers()}
     unreached = set()
     for name in MODULES:
@@ -77,7 +81,9 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         home = SRC / f"{name.rsplit('.', 1)[-1]}.py"
         for public in module.__all__:
             if not any(
-                public in used and not (path == home and defined == public)
+                public in used
+                and defined not in UNREACHED
+                and not (path == home and defined == public)
                 for path, stmts in uses.items()
                 for defined, used in stmts
             ):

@@ -12,7 +12,6 @@ from ngonstab.charges import (
     in_h_prime,
     phase_cmp,
     phase_of_charge,
-    phase_sort_key,
     primitive,
 )
 from ngonstab.hn import (
@@ -99,7 +98,7 @@ def _per_index_groups(charges):
     for idx, c in enumerate(charges):
         groups.setdefault(primitive(c), []).append(idx)
     out = []
-    for d in sorted(groups, key=phase_sort_key, reverse=True):
+    for d in sorted(groups, key=lambda c: PhasePoint(0, c).sort_key(), reverse=True):
         members = tuple(groups[d])
         re = sum(charges[i][0] for i in members)
         im = sum(charges[i][1] for i in members)

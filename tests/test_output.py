@@ -108,7 +108,8 @@ def file_runs(verb: str, path: str):
     return [[verb, *level, path, *flag] for level in levels for flag in flags]
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.json")))
+# replay.json holds test_replay's expectations, not an input
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.json") if p.name != "replay.json"))
 def test_every_fixture_through_each_verb_that_reads_it(name):
     path = str(DATA / name)
     read = 0

@@ -461,19 +461,6 @@ def test_galois_translate_keeps_the_label_text_order():
         assert turned == _reference_translate(obj, power)
 
 
-def test_galois_translate_rebuilds_a_subclass_through_its_constructor():
-    images = []
-    for x in (ChainSheaf(3, 2, 1, (1, 0)), BandSheaf(3, 2, (1, 0, 0, 0, 1, 0), A),
-              TorsionSheaf(3, NodePoint(2), 1)):
-        sub = type("Sub" + type(x).__name__, (type(x),), {})(*vars(x).values())
-        image = galois_translate(sub, 4)
-        assert type(image) is type(x) and image == _reference_translate(x, 4)
-        images.append(sub)
-    assert galois_translate(SheafObject(tuple(images)), -2) == _reference_translate(
-        SheafObject(tuple(images)), -2
-    )
-
-
 _ONE_OF_EACH = (
     ChainSheaf(3, 2, 1, (1, 0)),
     BandSheaf(3, 2, (1, 0, 0, 0, 1, 0), A, 2),

@@ -87,6 +87,14 @@ def test_a_non_string_annotation_is_refused():
         exec(code, {"value_class": value_class})
 
 
+def test_a_value_class_cannot_be_subclassed():
+    # so an instance's exact type is its class, and _make's callers may
+    # dispatch on it
+    for cls, _ in TABLE:
+        with pytest.raises(TypeError, match=f"^value class {cls.__name__} is final$"):
+            type("Sub", (cls,), {})
+
+
 @pytest.mark.parametrize("cls, fields", TABLE, ids=IDS)
 def test_value_semantics(cls, fields):
     x = cls(**fields)
