@@ -431,20 +431,34 @@ def _last_member(M: Mat2, pts: tuple[ChargeVec, ...], half: int) -> ChargeVec:
 def order_preserved_brute_force(M: Mat2, n: int, box: int) -> bool:
     """Check strict cyclic order preservation on all primitive box members.
 
-    Distinct primitive vectors occupy distinct rays, so members arrive
-    sorted by phase with no ties.  Walking their image phases around the
-    circle must wind exactly once: at most one circular descent (the
-    place where the image arc passes the branch cut).  An orientation-
-    reversing map reverses the walk and produces descents at almost
-    every step.  Like check_order, it accepts M and -M alike.
+    Members arrive sorted by phase.  Walking their image phases around
+    the circle must wind exactly once: at most one circular descent (the
+    place where the image arc passes the branch cut).  Like check_order,
+    it accepts M and -M alike, and it reads no determinant sign.
 
-    The walk reads the box once, in place, from the image of the last
-    member: the H' half, then the second half, skipping each v whose
-    image Mv (nonzero) lies in H'.  Images are ordered by the walk's own
-    rule, not the library's phase comparison: one in H' comes before one
-    outside it, two on one side (less than a half turn apart) by the sign
-    of their cross product, 0 meaning one ray.  For box >= 1 the H' half
-    alone holds 4 or more members; only the empty box has fewer than 3.
+    The walk reads only the H' half of the box (phases (0, 1], all
+    members) once, in place, from the image of the last member; a full
+    walk would go on through the members in the second half.  Images
+    are ordered by the walk's own rule, not the library's phase
+    comparison: one in H' comes before one outside it, two on one side
+    (less than a half turn apart) by the sign of their cross product.
+    Neither the second half nor a tie can change the verdict, for M an
+    integer matrix of det +-1 (the guard refuses any other):
+    - No ties.  Distinct primitive vectors lie on distinct rays; an
+      invertible M keeps distinct rays distinct and sends opposite rays
+      to opposite sides of H'.  So the cross product of two images on
+      one side is never 0.
+    - det +1: the second half never descends.  Its members are the v in
+      -H' with Mv in -H', the meet of two half-turn arcs, so one arc.  M
+      keeps orientation, so as v's phase rises along it the images'
+      phases rise within (1, 2] and never cross the branch cut: no step
+      inside that arc descends, and the step into it from an image in
+      H' never does either.
+    - det -1: the H' half already returns False.  For box >= 1 it holds
+      at least 4 members.  M reverses orientation, so their images fall
+      within a half-turn arc and cross the branch cut at most once:
+      at least 2 descents in 3 or more steps.
+    - Box 0: the box is empty and the walk returns True.
     """
     if M.det not in (1, -1):
         raise ValueError("order check expects an invertible integer matrix")
@@ -463,10 +477,7 @@ def order_preserved_brute_force(M: Mat2, n: int, box: int) -> bool:
         x, y = a * x + b * y, c * x + d * y
         up = y > 0 or (y == 0 and x < 0)
         if up == p_up:
-            cross = px * y - py * x
-            if cross == 0:
-                return False  # two members on one image ray: not injective
-            descended = cross < 0
+            descended = px * y - py * x < 0
         else:
             descended = up
         if descended:
@@ -474,20 +485,6 @@ def order_preserved_brute_force(M: Mat2, n: int, box: int) -> bool:
             if descents > 1:
                 return False
         px, py, p_up = x, y, up
-    for x, y in islice(pts, half, None):
-        im = c * x + d * y
-        if im > 0 or (im == 0 and a * x + b * y < 0):
-            continue  # the image is in H': not a member
-        x, y = a * x + b * y, im
-        if not p_up:  # a member after an image in H' never descends
-            cross = px * y - py * x
-            if cross == 0:
-                return False
-            if cross < 0:
-                descents += 1
-                if descents > 1:
-                    return False
-        px, py, p_up = x, y, False
     return True
 
 

@@ -67,8 +67,8 @@ MAX_K_N = 200
 # whose level matrix has an entry of 76 digits or more.
 MAX_DET_WORK = 10_000_000
 # One box oracle call visits (2 * box + 1)^2 lattice points, about 160k
-# at the cap.  check-compat --oracle --box 200 takes about 45-75 ms in a
-# fresh process, 20-45 ms of it building the box and 17-29 ms the walk.
+# at the cap.  check-compat --oracle --box 200 takes about 30-45 ms in a
+# fresh 2-CPU x86-64 process, 23-33 ms to build the box, 7-17 ms to walk.
 MAX_BOX = 200
 # classify and rigid print n chains of s degrees each; n*s at the cap is
 # 1.13 MB of JSON, which takes about 3 ms to print as JSON and about

@@ -458,6 +458,8 @@ def pullback(s: Summand | SheafObject, m: int) -> SheafObject:
     torsion points simply acquire one translated copy per sheet.
     """
     parts = _parts(s)
+    if not is_int(m):
+        raise ValueError("m must be an integer")
     n = parts[0].n
     if m < 1 or m % n != 0:
         raise ValueError(f"no cover: {n} does not divide {m}")

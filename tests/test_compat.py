@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -522,6 +523,44 @@ def _order_preserved_by_definition(m, n, box):
 @settings(max_examples=300)
 def test_cyclic_oracle_matches_its_definition(m, n, box):
     assert order_preserved_brute_force(m, n, box) == _order_preserved_by_definition(m, n, box)
+
+
+def test_cyclic_oracle_matches_its_definition_on_every_small_matrix():
+    # every det +-1 matrix with entries in [-4, 4], each box radius 0-6
+    small = [m for m in UNIMODULAR if max(map(abs, (m.a, m.b, m.c, m.d))) <= 4]
+    assert len(small) == 360
+    for m in small:
+        for box in range(7):
+            expected = _order_preserved_by_definition(m, 1, box)
+            assert order_preserved_brute_force(m, 1, box) == expected, (m, box)
+
+
+def test_cyclic_oracle_runs_every_line():
+    # A branch the walk can never take would show up here as a line that
+    # no call reaches.
+    code = order_preserved_brute_force.__code__
+    ran = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for m, box in ((Mat2.identity(), 3), (ROT, 3), (Mat2(0, 1, 1, 0), 3), (ROT, 0)):
+            order_preserved_brute_force(m, 1, box)
+        for m, n in ((Mat2(2, 0, 0, 1), 1), (ROT, 0)):
+            with pytest.raises(ValueError):
+                order_preserved_brute_force(m, n, 3)
+    finally:
+        sys.settrace(previous)
+    lines = {line for _, _, line in code.co_lines() if line is not None}
+    assert lines - ran == {code.co_firstlineno}
 
 
 def test_cyclic_oracle_matches_its_definition_at_workload_radii():

@@ -23,6 +23,7 @@ from ngonstab.gamma0 import (
     in_gamma0,
     restrict_partition_to_small_slopes,
     _complete,
+    _solve_congruence,
 )
 from ngonstab.schemas import SchemaError, mat2_from_json
 
@@ -197,6 +198,20 @@ def test_witness_sweep():
             cls, witness = cusp_canonicalize(N, s)
             assert in_gamma0(witness, N)
             assert witness.moebius(s) == cls.slope
+
+
+def test_solve_congruence_refuses_an_unsolvable_congruence():
+    # 2m = 1 (mod 4) has no solution: gcd(2, 4) = 2 does not divide 1
+    with pytest.raises(ValueError, match="^congruence has no solution$"):
+        _solve_congruence(2, 1, 4)
+
+
+def test_canonicalize_refuses_a_failed_witness(monkeypatch):
+    monkeypatch.setattr(gamma0, "in_gamma0", lambda m, n: False)
+    with pytest.raises(
+        AssertionError, match="^witness construction failed for level 6, slope 5/6$"
+    ):
+        cusp_canonicalize(6, Slope(5, 6))
 
 
 def test_enumerate_cusp_classes():

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from ngonstab import moduli
 from ngonstab.charges import (
     PhasePoint,
     Slope,
@@ -27,6 +28,7 @@ from ngonstab.moduli import (
 )
 from ngonstab.sheaves import (
     STABLE,
+    UNSTABLE,
     BandSheaf,
     ChainSheaf,
     Label,
@@ -85,6 +87,15 @@ def test_enumerate_rigid_validation():
         enumerate_rigid(6, 1, 4)  # 4 does not divide 6
     with pytest.raises(ValueError):
         enumerate_rigid(6, 2, 2)  # not coprime
+
+
+def test_enumerate_rigid_refuses_an_unstable_first_chain(monkeypatch):
+    # the uncached function, so the refusal leaves the rigid-locus cache alone
+    before = enumerate_rigid.cache_info()
+    monkeypatch.setattr(moduli, "is_semistable", lambda s: UNSTABLE)
+    with pytest.raises(ValueError, match="^no stable balanced chain found for 1/2$"):
+        enumerate_rigid.__wrapped__(6, 1, 2)
+    assert enumerate_rigid.cache_info() == before
 
 
 def test_rigid_points_form_one_translation_orbit():

@@ -479,6 +479,16 @@ def test_galois_translate_refuses_a_non_integer_power(s, power):
         galois_translate(s, power)
 
 
+@pytest.mark.parametrize("m", [6.0, "6", True], ids=repr)
+@pytest.mark.parametrize(
+    "s", [*_ONE_OF_EACH, SheafObject(_ONE_OF_EACH)],
+    ids=["chain", "band", "smooth", "node", "object"],
+)
+def test_pullback_refuses_a_non_integer_level(s, m):
+    with pytest.raises(ValueError, match="^m must be an integer$"):
+        pullback(s, m)
+
+
 @given(summand_strategy, st.integers(0, 10_000))
 @settings(max_examples=60)
 def test_tensor_line_inverts(s, seed):
