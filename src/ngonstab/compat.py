@@ -36,7 +36,6 @@ the K-maps between levels that sum over, or fold, the sheets of the cover.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
 from operator import mul
 
 from .charges import (
@@ -377,12 +376,12 @@ def shift_square_kauto(n: int) -> KAuto:
 # brute-force oracles over lattice boxes
 
 
-# The box oracles run at a handful of radii.  A box takes about 1-1.5 ms
-# to build at radius 50 and 20-30 ms at radius 200; eight stay cached:
-# 6,192 vectors at radius 50, 97,856 (about 8 MB) at radius 200.
+# The box oracles run at a handful of radii.  A box takes 0.4-0.6 ms
+# to build at radius 50 and 8-11 ms at radius 200; eight stay cached:
+# 3,096 vectors at radius 50, 48,928 (about 3.9 MB) at radius 200.
 @lru_cache(maxsize=8)
-def _sorted_primitive_box(box: int) -> tuple[ChargeVec, ...]:
-    """Primitive vectors of [-box, box]^2, in phase order.
+def _h_prime_box(box: int) -> tuple[ChargeVec, ...]:
+    """Primitive vectors of [-box, box]^2 in H', in phase order.
 
     Built in phase order, with no comparison.  The Farey sequence of
     order box lists every reduced p/q in [0, 1] with q <= box once, in
@@ -396,8 +395,7 @@ def _sorted_primitive_box(box: int) -> tuple[ChargeVec, ...]:
     (0 <= x < y): each is a monotone bijection onto its octant's
     primitive vectors in the box.  The quarter turn (x, y) -> (-y, x)
     adds 1/2 to every phase, carrying (0, 1/2] in order onto (1/2, 1];
-    together that is H', phases (0, 1].  Negation adds exactly 1,
-    carrying H' in order onto the rest, phases (1, 2].
+    together that is H', phases (0, 1].
     """
     farey = [(0, 1)]
     a, b, c, d = 0, 1, 1, box
@@ -405,27 +403,25 @@ def _sorted_primitive_box(box: int) -> tuple[ChargeVec, ...]:
         farey.append((c, d))
         k = (box + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
-    quarter = [(q, p) for p, q in farey[1:]] + [(p, q) for p, q in reversed(farey[:-1])]
-    upper = quarter + [(-y, x) for x, y in quarter]
-    return tuple(upper + [(-x, -y) for x, y in upper])
+    quarter = [(q, p) for p, q in farey[1:]] + farey[-2::-1]
+    return tuple(quarter + [(-y, x) for x, y in quarter])
 
 
-def _last_member(M: Mat2, pts: tuple[ChargeVec, ...], half: int) -> ChargeVec:
-    """Last member, by phase, of the sorted box pts (half = len(pts) // 2).
+def _last_member(M: Mat2, pts: tuple[ChargeVec, ...]) -> ChargeVec:
+    """Last member, by phase, of the primitive box whose H' vectors are pts.
 
     Every nonzero lattice vector is effective, so v is a member when v or
     -Mv lies in H' (no det +1 gate: the oracles also exhibit violations
-    for reflections).  v -> -v pairs H' (phases (0, 1]) with the rest, so
-    the first half of the box is its H' vectors, all members.  The scan
-    runs back from the end to the first member, else pts[half - 1].
+    for reflections); so every u in pts is one.  Negation adds exactly 1
+    to a phase, so the box's other half is -u for each u in pts, in the
+    same order, and -u is a member exactly when Mu lies in H'.  The scan
+    runs back over pts to the last such u and returns -u, else pts[-1].
     """
     a, b, c, d = M.a, M.b, M.c, M.d
-    for v in islice(reversed(pts), len(pts) - half):
-        x, y = v
-        # -Mv lies in H' iff Mv lies in -H'
-        if (im := c * x + d * y) < 0 or (im == 0 and a * x + b * y > 0):
-            return v
-    return pts[half - 1]
+    for x, y in reversed(pts):
+        if (im := c * x + d * y) > 0 or (im == 0 and a * x + b * y < 0):
+            return -x, -y
+    return pts[-1]
 
 
 def order_preserved_brute_force(M: Mat2, n: int, box: int) -> bool:
@@ -436,25 +432,25 @@ def order_preserved_brute_force(M: Mat2, n: int, box: int) -> bool:
     place where the image arc passes the branch cut).  Like check_order,
     it accepts M and -M alike, and it reads no determinant sign.
 
-    The walk reads only the H' half of the box (phases (0, 1], all
+    The walk reads only the box's H' vectors (phases (0, 1], all
     members) once, in place, from the image of the last member; a full
-    walk would go on through the members in the second half.  Images
-    are ordered by the walk's own rule, not the library's phase
-    comparison: one in H' comes before one outside it, two on one side
-    (less than a half turn apart) by the sign of their cross product.
-    Neither the second half nor a tie can change the verdict, for M an
+    walk would go on through the members outside H'.  Images are
+    ordered by the walk's own rule, not the library's phase comparison:
+    one in H' comes before one outside it, two on one side (less than a
+    half turn apart) by the sign of their cross product.  Neither the
+    members outside H' nor a tie can change the verdict, for M an
     integer matrix of det +-1 (the guard refuses any other):
     - No ties.  Distinct primitive vectors lie on distinct rays; an
       invertible M keeps distinct rays distinct and sends opposite rays
       to opposite sides of H'.  So the cross product of two images on
       one side is never 0.
-    - det +1: the second half never descends.  Its members are the v in
+    - det +1: the members outside H' never descend.  They are the v in
       -H' with Mv in -H', the meet of two half-turn arcs, so one arc.  M
       keeps orientation, so as v's phase rises along it the images'
       phases rise within (1, 2] and never cross the branch cut: no step
       inside that arc descends, and the step into it from an image in
       H' never does either.
-    - det -1: the H' half already returns False.  For box >= 1 it holds
+    - det -1: the H' vectors already return False.  For box >= 1 they are
       at least 4 members.  M reverses orientation, so their images fall
       within a half-turn arc and cross the branch cut at most once:
       at least 2 descents in 3 or more steps.
@@ -464,16 +460,15 @@ def order_preserved_brute_force(M: Mat2, n: int, box: int) -> bool:
         raise ValueError("order check expects an invertible integer matrix")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    pts = _sorted_primitive_box(box)
-    half = len(pts) // 2
-    if not half:
+    pts = _h_prime_box(box)
+    if not pts:
         return True
     a, b, c, d = M.a, M.b, M.c, M.d
     descents = 0
-    x, y = _last_member(M, pts, half)
+    x, y = _last_member(M, pts)
     px, py = a * x + b * y, c * x + d * y
     p_up = py > 0 or (py == 0 and px < 0)
-    for x, y in islice(pts, half):
+    for x, y in pts:
         x, y = a * x + b * y, c * x + d * y
         up = y > 0 or (y == 0 and x < 0)
         if up == p_up:
@@ -497,9 +492,8 @@ def box_sup_phase(M: Mat2, n: int, box: int) -> tuple[PhasePoint, ChargeVec]:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    pts = _sorted_primitive_box(box)
-    half = len(pts) // 2
-    if not half:
+    pts = _h_prime_box(box)
+    if not pts:
         raise ValueError("no members in the box")
-    witness = _last_member(M, pts, half)
+    witness = _last_member(M, pts)
     return phase_of_charge(witness), witness

@@ -66,9 +66,9 @@ MAX_K_N = 200
 # n = MAX_K_N (tens of bits, 0.02 s); at n = MAX_K_N it refuses a lift
 # whose level matrix has an entry of 76 digits or more.
 MAX_DET_WORK = 10_000_000
-# One box oracle call visits (2 * box + 1)^2 lattice points, about 160k
-# at the cap.  check-compat --oracle --box 200 takes about 30-45 ms in a
-# fresh 2-CPU x86-64 process, 23-33 ms to build the box, 7-17 ms to walk.
+# One box oracle call walks the box's primitive H' vectors, 48,928 at
+# the cap.  check-compat --oracle --box 200 takes about 20-35 ms in a
+# fresh 2-CPU x86-64 process, 10-18 ms to build the box, 10-19 ms to walk.
 MAX_BOX = 200
 # classify and rigid print n chains of s degrees each; n*s at the cap is
 # 1.13 MB of JSON, which takes about 3 ms to print as JSON and about

@@ -493,6 +493,8 @@ def pushforward(s, n_target: int):
     untouched.
     """
     parts = _parts(s)
+    if not is_int(n_target):
+        raise ValueError("n_target must be an integer")
     n = parts[0].n
     if n_target < 1 or n % n_target != 0:
         raise ValueError(f"no cover: {n_target} does not divide {n}")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import sys
@@ -35,11 +36,12 @@ from ngonstab.compat import (
     lift_k_matrix,
     order_preserved_brute_force,
     shift_square_kauto,
+    _h_prime_box,
+    _last_member,
     _mat_det,
     _mat_identity,
     _mat_inverse,
     _mat_mul,
-    _sorted_primitive_box,
 )
 from ngonstab.gamma0 import Mat2, in_gamma0
 from ngonstab.schemas import MAX_BOX, MAX_K_N, SchemaError, kauto_from_json
@@ -500,11 +502,24 @@ UNIMODULAR = [
 ]
 
 
+@functools.cache
+def _box_by_definition(box):
+    """The primitive vectors of [-box, box]^2 sorted by the library's key."""
+    pts = [
+        (x, y)
+        for x in range(-box, box + 1)
+        for y in range(-box, box + 1)
+        if gcd(x, y) == 1
+    ]
+    pts.sort(key=lambda c: PhasePoint(0, c).sort_key())
+    return tuple(pts)
+
+
 def _box_members(m, n, box):
     """The primitive box vectors v, in phase order, with v or -mv in H'."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    pts = _sorted_primitive_box(box)
+    pts = _box_by_definition(box)
     return [v for v in pts if in_h_prime(v) or in_h_prime(m.matvec((-v[0], -v[1])))]
 
 
@@ -535,10 +550,14 @@ def test_cyclic_oracle_matches_its_definition_on_every_small_matrix():
             assert order_preserved_brute_force(m, 1, box) == expected, (m, box)
 
 
-def test_cyclic_oracle_runs_every_line():
-    # A branch the walk can never take would show up here as a line that
-    # no call reaches.
-    code = order_preserved_brute_force.__code__
+def _unreached_lines(f, calls):
+    """Lines of f's body that none of the calls reaches.
+
+    calls is a list of (args, error): f(*args) must raise error, or
+    return when error is None.  A branch that can never be taken shows
+    up as a line in the result.
+    """
+    code = f.__code__
     ran = set()
 
     def local(frame, event, arg):
@@ -552,15 +571,38 @@ def test_cyclic_oracle_runs_every_line():
     previous = sys.gettrace()
     sys.settrace(tracer)
     try:
-        for m, box in ((Mat2.identity(), 3), (ROT, 3), (Mat2(0, 1, 1, 0), 3), (ROT, 0)):
-            order_preserved_brute_force(m, 1, box)
-        for m, n in ((Mat2(2, 0, 0, 1), 1), (ROT, 0)):
-            with pytest.raises(ValueError):
-                order_preserved_brute_force(m, n, 3)
+        for args, error in calls:
+            if error is None:
+                f(*args)
+            else:
+                with pytest.raises(error):
+                    f(*args)
     finally:
         sys.settrace(previous)
     lines = {line for _, _, line in code.co_lines() if line is not None}
-    assert lines - ran == {code.co_firstlineno}
+    return lines - ran - {code.co_firstlineno}
+
+
+def test_cyclic_oracle_runs_every_line():
+    calls = [((m, 1, box), None) for m, box in
+             ((Mat2.identity(), 3), (ROT, 3), (Mat2(0, 1, 1, 0), 3), (ROT, 0))]
+    calls += [((m, n, 3), ValueError) for m, n in ((Mat2(2, 0, 0, 1), 1), (ROT, 0))]
+    assert _unreached_lines(order_preserved_brute_force, calls) == set()
+
+
+def test_last_member_runs_every_line():
+    # -I keeps exactly the H' vectors, so its scan falls through to
+    # pts[-1]; a rotation has members outside H' and returns one.
+    pts = _h_prime_box(3)
+    assert _last_member(-Mat2.identity(), pts) == pts[-1]
+    assert _last_member(ROT, pts) == (0, -1)
+    calls = [((m, pts), None) for m in (-Mat2.identity(), ROT)]
+    assert _unreached_lines(_last_member, calls) == set()
+
+
+def test_box_sup_phase_runs_every_line():
+    calls = [((ROT, 1, 3), None), ((ROT, 1, 0), ValueError), ((ROT, 0, 3), ValueError)]
+    assert _unreached_lines(box_sup_phase, calls) == set()
 
 
 def test_cyclic_oracle_matches_its_definition_at_workload_radii():
@@ -587,38 +629,20 @@ def test_cyclic_oracle_matches_its_definition_at_the_cap():
     assert verdicts == [True, True, False, True, False]
 
 
-def _box_by_definition(box):
-    """The primitive vectors of [-box, box]^2 sorted by the library's key."""
-    pts = [
-        (x, y)
-        for x in range(-box, box + 1)
-        for y in range(-box, box + 1)
-        if gcd(x, y) == 1
-    ]
-    pts.sort(key=lambda c: PhasePoint(0, c).sort_key())
-    return tuple(pts)
-
-
 def test_sorted_box_matches_its_definition():
     for box in range(-1, 61):
-        assert _sorted_primitive_box(box) == _box_by_definition(box), box
+        expected = tuple(v for v in _box_by_definition(box) if in_h_prime(v))
+        assert _h_prime_box(box) == expected, box
 
 
-def test_sorted_box_at_the_cap_is_every_primitive_vector_by_phase():
-    pts = _sorted_primitive_box(MAX_BOX)
+def test_sorted_box_at_the_cap_is_every_h_prime_vector_by_phase():
+    pts = _h_prime_box(MAX_BOX)
     r = range(-MAX_BOX, MAX_BOX + 1)
-    assert len(pts) == sum(gcd(x, y) == 1 for x in r for y in r)
+    primitive = sum(gcd(x, y) == 1 for x in r for y in r)
+    assert (len(pts), primitive) == (48_928, 97_856)
     assert all(abs(x) <= MAX_BOX >= abs(y) and gcd(x, y) == 1 for x, y in pts)
+    assert all(map(in_h_prime, pts))
     assert all(phase_cmp(u, v) < 0 for u, v in zip(pts, pts[1:]))
-    half = len(pts) // 2
-    assert all(map(in_h_prime, pts[:half]))
-    assert not any(map(in_h_prime, pts[half:]))
-
-
-def test_first_half_of_the_sorted_box_is_h_prime():
-    for box in range(41):
-        pts = _sorted_primitive_box(box)
-        assert list(pts[: len(pts) // 2]) == [v for v in pts if in_h_prime(v)]
 
 
 def test_box_sup_phase_refuses_an_empty_box():
@@ -630,10 +654,9 @@ def test_box_sup_phase_refuses_an_empty_box():
 
 def test_box_sup_phase_is_the_last_member():
     small = [m for m in UNIMODULAR if max(map(abs, (m.a, m.b, m.c, m.d))) <= 3]
-    # -I keeps exactly the H' half, so the second half holds no member
-    pts = _sorted_primitive_box(12)
+    # -I keeps exactly the H' vectors, so no member lies outside H'
     assert -Mat2.identity() in small
-    assert _box_members(-Mat2.identity(), 1, 12) == list(pts[: len(pts) // 2])
+    assert _box_members(-Mat2.identity(), 1, 12) == list(_h_prime_box(12))
     for m in small:
         for n in (1, 3):
             for box in range(13):
@@ -658,13 +681,20 @@ def _traced_peak(f, *args):
 
 @pytest.mark.parametrize("m", [Mat2.identity(), Mat2(2, 1, 1, 1), Mat2(0, 1, 1, 0)])
 def test_box_oracles_build_no_per_member_objects(m):
-    # At box 50 (6,192 vectors) neither oracle holds a member list: each
+    # At box 50 (3,096 H' vectors) neither oracle holds a member list: each
     # reads the cached box in place and peaks under 0.5 KB.  The bound
     # allows 8x that; a member list would add at least 24 KB, and one
     # image tuple per member over 60 bytes each.
     order_preserved_brute_force(m, 2, 50)
     assert _traced_peak(order_preserved_brute_force, m, 2, 50) <= 4096
     assert _traced_peak(box_sup_phase, m, 2, 50) <= 4096
+
+
+def test_the_cap_box_is_built_in_at_most_5_mb():
+    # The H' vectors alone peak at about 4.6 MB under tracemalloc and
+    # keep 3.9 MB; the whole primitive box, both halves, peaks at about
+    # 11.4 MB.
+    assert _traced_peak(_h_prime_box.__wrapped__, MAX_BOX) <= 5_000_000
 
 
 def test_cyclic_oracle_handles_negated_representatives():

@@ -489,6 +489,16 @@ def test_pullback_refuses_a_non_integer_level(s, m):
         pullback(s, m)
 
 
+@pytest.mark.parametrize("n_target", [2.0, "2", True], ids=repr)
+@pytest.mark.parametrize(
+    "s", [*_ONE_OF_EACH, SheafObject(_ONE_OF_EACH)],
+    ids=["chain", "band", "smooth", "node", "object"],
+)
+def test_pushforward_refuses_a_non_integer_target(s, n_target):
+    with pytest.raises(ValueError, match="^n_target must be an integer$"):
+        pushforward(s, n_target)
+
+
 @given(summand_strategy, st.integers(0, 10_000))
 @settings(max_examples=60)
 def test_tensor_line_inverts(s, seed):
